@@ -243,12 +243,6 @@ def _cmd_survey(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-stable JSON output")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes (default: hardware parallelism)",
-    )
     parser = argparse.ArgumentParser(
         prog="spectile",
         description="exact computations with spectral sets and tiles in cyclic groups",
@@ -267,6 +261,12 @@ def build_parser():
     p.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET)
     p.add_argument("--limit-per-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker processes (default: hardware parallelism)",
+    )
     p.add_argument("--resume", metavar="CURSOR", default=None,
                    help="cursor directory for resumable runs")
     p.add_argument("--out", default=None, help="write record lines to this file")

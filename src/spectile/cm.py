@@ -27,6 +27,7 @@ from .zn import (
     cyclotomic,
     dilate,
     is_full_group_product,
+    phi_of_power,
     restrict_class,
     vanishes_at,
     zero_set,
@@ -87,7 +88,7 @@ def sa_record(a: MaskMultiset) -> PrimePowerRecord:
     return PrimePowerRecord(a.ctx, s_a, by_prime)
 
 
-def check_t1t2(a: MaskMultiset, _vd=None) -> CmReport:
+def check_t1t2(a: MaskMultiset) -> CmReport:
     """Evaluate (T1) and (T2) for a proper set.
 
     T2 is checked over all products of pairwise-coprime prime powers drawn
@@ -95,7 +96,7 @@ def check_t1t2(a: MaskMultiset, _vd=None) -> CmReport:
     value; the first failing product is recorded as the witness.
     """
     _require_proper_nonempty(a)
-    vd = zero_set(a).vanishing_divisors if _vd is None else _vd
+    vd = zero_set(a).vanishing_divisors
     s_a = frozenset(s for s in a.ctx.prime_powers if s in vd)
     t1_lhs = a.mass()
     t1_rhs = 1
@@ -133,18 +134,6 @@ def _prime_power_factor(s, ctx):
     raise DomainError(f"{s} has no prime factor in the group")
 
 
-def _phi_of_power(s, exponent_base, ctx) -> MaskMultiset:
-    """Mask multiset of Phi_s(X^t) mod X^N - 1 for t = exponent_base."""
-    n = ctx.n
-    out = [0] * n
-    for i, c in enumerate(cyclotomic(s).coeffs):
-        if c:
-            out[(i * exponent_base) % n] += c
-    if any(c < 0 for c in out):
-        raise InvariantViolation(f"Phi_{s}(X^{exponent_base}) not nonnegative mod X^{n}-1")
-    return MaskMultiset(ctx, tuple(out))
-
-
 def build_tiling_complement_cm(a: MaskMultiset) -> MaskMultiset:
     """Explicit tiling complement T(X) = prod over missing prime powers s of Phi_s(X^{N_s}).
 
@@ -165,7 +154,7 @@ def build_tiling_complement_cm(a: MaskMultiset) -> MaskMultiset:
         n_s = n
         while n_s % p == 0:
             n_s //= p
-        t = cyclic_product(t, _phi_of_power(s, n_s, ctx))
+        t = cyclic_product(t, phi_of_power(s, n_s, ctx))
     if not t.is_proper():
         raise InvariantViolation("constructed complement is not a proper set")
     if a.mass() * t.mass() != n or not is_full_group_product(a, t):
@@ -288,7 +277,7 @@ def nopq_complement(a: MaskMultiset, b: MaskMultiset) -> MaskMultiset:
     comp = MaskMultiset.from_elements(ctx, [(p**m) * s % n for s in range(q**n_exp)])
     for r in range(1, m + 1):
         if r not in r_set:
-            comp = cyclic_product(comp, _phi_of_power(p**r, 1, ctx))
+            comp = cyclic_product(comp, phi_of_power(p**r, 1, ctx))
     if not comp.is_proper():
         raise InvariantViolation("complement construction produced a non-proper set")
     if size * comp.mass() != n or not is_full_group_product(a, comp):

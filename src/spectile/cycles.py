@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantViolation, PreconditionError
-from .zn import MaskMultiset, difference_set, dilate, restrict_class, vanishes_at
+from .zn import MaskMultiset, dilate, restrict_class, vanishes_at
 
 
 @dataclass(frozen=True)
@@ -49,46 +49,36 @@ class CycleDecomposition:
 
 
 def lam_leung_decompose(a: MaskMultiset) -> CycleDecomposition:
-    """Split a vanishing multiset into p- and q-cycles by backtracking peeling.
+    """Split a vanishing multiset into p- and q-cycles in closed form, O(N).
 
-    The lowest-index positive coefficient must sit on some cycle; try the
-    p-cycle through it, recurse, otherwise the q-cycle, otherwise backtrack.
-    Existence is guaranteed for vanishing sums, so running out of the search
-    space is an internal error, not an input error.
+    With M = N/pq, the powers 1, zeta_N, ..., zeta_N^(M-1) are a basis of
+    Q(zeta_N) over Q(zeta_pq) (rad N = pq), so A(zeta_N) = 0 forces the sum
+    over every coset j + M Z_N to vanish on its own.  On a coset, with
+    h in Z_pq read as (u, v) = (h mod p, h mod q), the coefficients form an
+    array c(u, v) = r_v + s_u (de Bruijn): r_v counts the p-cycle of residue
+    v mod q and s_u the q-cycle of residue u mod p.  Shifting r by its
+    minimum makes both parts nonnegative, with no search.  The split is not
+    unique; this one puts as little as possible on p-cycles.
     """
     ctx = a.ctx
     p, _m, q, _n = ctx.prime_pair()
     n = ctx.n
     if not vanishes_at(a, n):
         raise PreconditionError("multiset does not vanish at a primitive root")
-    coeffs = list(a.coeffs)
-    step_p, step_q = n // p, n // q
+    coeffs = a.coeffs
+    pq = p * q
+    m = n // pq
+    h_of_v = [v * p * pow(p, -1, q) % pq for v in range(q)]  # (0, v) -> h
+    h_of_u = [u * q * pow(q, -1, p) % pq for u in range(p)]  # (u, 0) -> h
     p_bases = [0] * n
     q_bases = [0] * n
-
-    def peel(start):
-        i = start
-        while i < n and coeffs[i] == 0:
-            i += 1
-        if i == n:
-            return True
-        for prime, step, bases in ((p, step_p, p_bases), (q, step_q, q_bases)):
-            idxs = [(i + j * step) % n for j in range(prime)]
-            if all(coeffs[x] > 0 for x in idxs):
-                for x in idxs:
-                    coeffs[x] -= 1
-                bases[i] += 1
-                if peel(i):
-                    return True
-                bases[i] -= 1
-                for x in idxs:
-                    coeffs[x] += 1
-        return False
-
-    if not peel(0):
-        raise InvariantViolation(
-            "no cycle decomposition found for a vanishing sum; this is a bug"
-        )
+    for j in range(m):
+        r = [coeffs[j + m * h] for h in h_of_v]
+        shift = min(r)
+        for v in range(q):
+            p_bases[j + m * v] = r[v] - shift
+        for u in range(p):
+            q_bases[j + m * u] = coeffs[j + m * h_of_u[u]] - r[0] + shift
     dec = CycleDecomposition(
         MaskMultiset(ctx, tuple(p_bases)),
         MaskMultiset(ctx, tuple(q_bases)),
@@ -203,15 +193,10 @@ def roothunt_check(a: MaskMultiset, d: int):
             "hypothesis held although pqd does not divide N; this is a bug"
         )
     target = n // pqd
-    diffs = difference_set(a) if a.is_proper() else _multiset_diffs(a)
-    if not any(math.gcd(x, n) == target for x in diffs):
+    supp = a.support()
+    if not any(math.gcd(x - y, n) == target for x in supp for y in supp):
         raise InvariantViolation(
             "no difference of the predicted order despite a true hypothesis"
         )
     return pqd
 
-
-def _multiset_diffs(a: MaskMultiset):
-    supp = a.support()
-    n = a.n
-    return frozenset((x - y) % n for x in supp for y in supp)

@@ -25,11 +25,11 @@ from .errors import DomainError, InvariantViolation, PreconditionError
 from .zn import (
     GroupContext,
     MaskMultiset,
-    cyclotomic,
     cyclic_product,
     difference_set,
     dilate,
     is_full_group_product,
+    phi_of_power,
     restrict_class,
     vanishes_at,
     zero_set,
@@ -243,14 +243,6 @@ def _class_verdict(b: MaskMultiset, i: int, d: int, p: int):
     return ("neither", None)
 
 
-def class_absorbed(b: MaskMultiset, i: int, d: int, p: int) -> bool:
-    """B_{i mod d} = B_{i+kd mod pd} for some k; empty classes absorb trivially."""
-    verdict, _ = _class_verdict(b, i, d, p)
-    if verdict == "absorbed":
-        return True
-    return restrict_class(b, i, d).mass() == 0
-
-
 def k_set(b: MaskMultiset, p: int) -> frozenset:
     """K_p(B): levels k where every class mod p^k is absorbed mod p^{k+1}."""
     ctx = b.ctx
@@ -318,16 +310,6 @@ def classify_absorption(
     return AbsorptionReport(d, p, verdicts, k_sets, hypothesis)
 
 
-def _phi_power_shifted(s: int, t: int, ctx) -> MaskMultiset:
-    # mask multiset of Phi_s(X^t) mod X^N - 1, s a prime power
-    n = ctx.n
-    out = [0] * n
-    for i, c in enumerate(cyclotomic(s).coeffs):
-        if c:
-            out[(i * t) % n] += c
-    return MaskMultiset(ctx, tuple(out))
-
-
 def extend_pair(pair: SpectralPair, p: int, k: int) -> SpectralPair:
     """Push a fully absorbed level into a strictly larger verified pair.
 
@@ -344,8 +326,8 @@ def extend_pair(pair: SpectralPair, p: int, k: int) -> SpectralPair:
     if k not in k_set(pair.b, p):
         raise PreconditionError(f"level {k} is not fully absorbed in the spectrum")
     other = ctx.n // p**m
-    new_a = cyclic_product(pair.a, _phi_power_shifted(p ** (m - k), other, ctx))
-    new_b = cyclic_product(pair.b, _phi_power_shifted(p ** (k + 1), other, ctx))
+    new_a = cyclic_product(pair.a, phi_of_power(p ** (m - k), other, ctx))
+    new_b = cyclic_product(pair.b, phi_of_power(p ** (k + 1), other, ctx))
     if not new_a.is_proper() or not new_b.is_proper():
         raise InvariantViolation("extension is not a direct sum")
     if new_a.mass() != pair.a.mass() * p or new_b.mass() != pair.b.mass() * p:
@@ -384,8 +366,8 @@ def absorption_free_closure(pair: SpectralPair) -> SpectralPair:
         grow_set = MaskMultiset.from_elements(ctx, [0])
         grow_spec = MaskMultiset.from_elements(ctx, [0])
         for k in sorted(ks):
-            grow_set = cyclic_product(grow_set, _phi_power_shifted(prime ** (mv - k), other, ctx))
-            grow_spec = cyclic_product(grow_spec, _phi_power_shifted(prime ** (k + 1), other, ctx))
+            grow_set = cyclic_product(grow_set, phi_of_power(prime ** (mv - k), other, ctx))
+            grow_spec = cyclic_product(grow_spec, phi_of_power(prime ** (k + 1), other, ctx))
         if member == "b":
             new_a = cyclic_product(cur.a, grow_set)
             new_b = cyclic_product(cur.b, grow_spec)

@@ -30,19 +30,12 @@ import random
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from multiprocessing import get_context
 
 from . import cm, pairs
 from .errors import DomainError, InvariantViolation
-from .zn import (
-    MaskMultiset,
-    _cyclo_divides,
-    factorize,
-    group,
-    zero_set,
-)
+from .zn import MaskMultiset, divisors, group, zero_set
 
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -91,17 +84,10 @@ def _min_rotation(g):
     return best
 
 
-@lru_cache(maxsize=None)
-def _units(n):
-    if n == 1:
-        return (0,)
-    return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
-
-
 def affine_canonical_form(rep, n):
     """Lex-least translate-containing-0 over all unit dilations of the set."""
     best = None
-    for u in _units(n):
+    for u in group(n).units():
         s = tuple(sorted((u * x) % n for x in rep))
         cand = _min_rotation(_gaps(s, n))
         if best is None or cand < best:
@@ -149,28 +135,20 @@ def _canonical_of_size(n, k, affine, first=None):
             yield rep
 
 
-def _euler_phi(n):
-    out = n
-    for p, _ in factorize(n):
-        out -= out // p
-    return out
-
-
 def orbit_count(n, size=None, affine=False):
     """Number of orbits of nonempty subsets (or of size-k subsets) by Burnside."""
     if not affine:
+        # phi(n/g) rotations of Z_n split it into g cycles; phi counts units
         if size is None:
-            total = sum(
-                _euler_phi(n // g) * (2**g) for g in _divisors_of(n)
-            )
+            total = sum(len(group(n // g).units()) * (2**g) for g in divisors(n))
             return total // n - 1  # drop the empty set's orbit
         acc = 0
-        for g in _divisors_of(n):
+        for g in divisors(n):
             if (size * g) % n == 0:
-                acc += _euler_phi(n // g) * math.comb(g, size * g // n)
+                acc += len(group(n // g).units()) * math.comb(g, size * g // n)
         return acc // n
     perms = []
-    for u in _units(n):
+    for u in group(n).units():
         for v in range(n):
             perms.append(_cycle_lengths(n, u, v))
     order = len(perms)
@@ -188,13 +166,6 @@ def orbit_count(n, size=None, affine=False):
         if size < len(poly):
             acc += poly[size]
     return acc // order
-
-
-def _divisors_of(n):
-    out = [1]
-    for p, e in factorize(n):
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
 
 
 def _cycle_lengths(n, u, v):
@@ -242,7 +213,7 @@ def _rot(mask, t, n, full):
     return ((mask << t) | (mask >> (n - t))) & full if t else mask
 
 
-def find_spectrum(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET, _vd=None) -> SearchOutcome:
+def find_spectrum(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Search for a spectrum of A as a |A|-clique containing 0.
 
     Vertices are the residues of Z(A) plus 0; translation invariance makes
@@ -256,8 +227,7 @@ def find_spectrum(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET, _vd=None) -> Sear
     k = a.mass()
     if k == 1:
         return SearchOutcome("found", MaskMultiset.from_elements(a.ctx, [0]), 0, budget)
-    za = zero_set(a) if _vd is None else _vd
-    verts = sorted(za.residues())
+    verts = sorted(zero_set(a).residues())
     if 1 + len(verts) < k:
         return SearchOutcome("none", None, 0, budget)
     full = (1 << n) - 1
@@ -435,10 +405,8 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET, dual_certify=True):
     """Full classification of one canonical set; returns a JSON-able record."""
     ctx = group(n)
     a = MaskMultiset.from_elements(ctx, rep)
-    vd = frozenset(
-        d for d in ctx.divisors if d > 1 and _cyclo_divides(d, _fold_rep(rep, d))
-    )
-    cm_report = cm.check_t1t2(a, _vd=vd)
+    vd = zero_set(a).vanishing_divisors  # computed once; stored on `a` for all below
+    cm_report = cm.check_t1t2(a)
     record = {
         "type": "record",
         "n": n,
@@ -476,13 +444,6 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET, dual_certify=True):
         record["f_member"] = True
         record["diagnostics"] = _f_diagnostics(a, spectral.witness)
     return record
-
-
-def _fold_rep(rep, d):
-    out = [0] * d
-    for x in rep:
-        out[x % d] += 1
-    return tuple(out)
 
 
 def _dual_certified_spectrum(a, t):
@@ -536,12 +497,14 @@ def _sample_reps(n, k, limit, seed, affine):
 
 
 def _plan_tasks(n, opts: SurveyOptions):
+    """The survey's tasks, and each planned size's orbit total (by Burnside)."""
     sizes = sorted(opts.sizes) if opts.sizes else list(range(1, n + 1))
     tasks = []
+    totals = {}
     for k in sizes:
         if k < 1 or k > n:
             continue
-        total = orbit_count(n, k, opts.affine)
+        total = totals[k] = orbit_count(n, k, opts.affine)
         if opts.per_size_limit is not None and total > opts.per_size_limit:
             reps = _sample_reps(n, k, opts.per_size_limit, opts.seed, opts.affine)
             tasks.append(("list", k, tuple(reps)))
@@ -550,7 +513,7 @@ def _plan_tasks(n, opts: SurveyOptions):
         else:
             for a1 in range(1, n - k + 2):
                 tasks.append(("enum", k, a1))
-    return tasks
+    return tasks, totals
 
 
 def _task_key(task):
@@ -627,7 +590,7 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
     if n > opts.max_n:
         raise DomainError(f"order {n} beyond the configured feasibility bound {opts.max_n}")
     t0 = time.time()
-    tasks = _plan_tasks(n, opts)
+    tasks, totals = _plan_tasks(n, opts)
     task_order = sorted(range(len(tasks)), key=lambda i: _task_key(tasks[i]))
     want_spool = opts.threads > 1 and (record_sink is not None or opts.collect_records)
     spool_dir = None
@@ -711,7 +674,7 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
         k = agg["size"]
         slot = per_size.setdefault(
             k,
-            {"surveyed": 0, "total": orbit_count(n, k, opts.affine), "spectral": 0, "tiles": 0, "cm_pass": 0},
+            {"surveyed": 0, "total": totals[k], "spectral": 0, "tiles": 0, "cm_pass": 0},
         )
         slot["surveyed"] += agg["count"]
         slot["spectral"] += agg["spectral"]

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, InvariantViolation, ParseError
 
 # ---------------------------------------------------------------------------
 # dense integer polynomials
@@ -69,12 +69,10 @@ def poly_divmod(num, den):
 
 
 def poly_mod_xn_minus_1(c, n):
-    """Fold a polynomial into the ring Z[X]/(X^n - 1)."""
-    out = [0] * n
-    for i, ci in enumerate(c):
-        if ci:
-            out[i % n] += ci
-    return out
+    """Fold a coefficient sequence into Z[X]/(X^n - 1), as a length-n tuple."""
+    if len(c) == n:
+        return tuple(c)
+    return tuple([sum(c[i::n]) for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,9 @@ class GroupContext:
         (p, m), (q, n) = self.factorization
         return p, m, q, n
 
+    @lru_cache(maxsize=None)
     def units(self):
+        """The units of Z_n, ascending; memoised since contexts are interned per n."""
         if self.n == 1:
             return (0,)
         return tuple(x for x in range(1, self.n) if math.gcd(x, self.n) == 1)
@@ -384,16 +384,14 @@ def vanishes_at(a: MaskMultiset, d: int) -> bool:
     """Whether A(zeta_d) = 0, for d | N, decided by exact division.
 
     The mask polynomial is folded mod X^d - 1 (legitimate since d | N) and the
-    fold is tested for divisibility by Phi_d.
+    fold is tested for divisibility by Phi_d.  This always computes afresh and
+    never reads the zero set stored by zero_set(), so the two stay independent
+    routes to the same fact.
     """
     n = a.n
     if d < 1 or n % d != 0:
         raise DomainError(f"{d} does not divide the group order {n}")
-    folded = [0] * d
-    for i, c in enumerate(a.coeffs):
-        if c:
-            folded[i % d] += c
-    return _cyclo_divides(d, tuple(folded))
+    return _cyclo_divides(d, poly_mod_xn_minus_1(a.coeffs, d))
 
 
 @dataclass(frozen=True)
@@ -417,21 +415,27 @@ class ZeroSet:
             x for x in range(self.ctx.n) if ords[x] in self.vanishing_divisors
         )
 
-    def mask(self) -> int:
-        m = 0
-        ords = _order_table(self.ctx.n)
-        for x in range(self.ctx.n):
-            if ords[x] in self.vanishing_divisors:
-                m |= 1 << x
-        return m
-
 
 def zero_set(a: MaskMultiset) -> ZeroSet:
-    """All divisors d of N with Phi_d | A (equivalently A(zeta_d) = 0)."""
-    if a.is_empty():
-        raise DomainError("zero set of the empty multiset is undefined")
-    vd = frozenset(d for d in a.ctx.divisors if d > 1 and vanishes_at(a, d))
-    return ZeroSet(a.ctx, vd)
+    """All divisors d > 1 of N with Phi_d | A (equivalently A(zeta_d) = 0).
+
+    This is the one place Z(A) is computed.  The result is stored on the
+    multiset itself, which is frozen, so it can never go stale; every later
+    call on the same instance returns the same ZeroSet object.
+    """
+    za = a.__dict__.get("_zero_set")
+    if za is None:
+        if a.is_empty():
+            raise DomainError("zero set of the empty multiset is undefined")
+        c = a.coeffs
+        vd = frozenset(
+            d
+            for d in a.ctx.divisors
+            if d > 1 and _cyclo_divides(d, poly_mod_xn_minus_1(c, d))
+        )
+        za = ZeroSet(a.ctx, vd)
+        object.__setattr__(a, "_zero_set", za)
+    return za
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +478,18 @@ def difference_set(a: MaskMultiset) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # products in Z[X]/(X^N - 1)
+
+
+def phi_of_power(s: int, t: int, ctx: GroupContext) -> MaskMultiset:
+    """Mask multiset of Phi_s(X^t) mod X^N - 1; raises if a coefficient is negative."""
+    n = ctx.n
+    out = [0] * n
+    for i, c in enumerate(cyclotomic(s).coeffs):
+        if c:
+            out[(i * t) % n] += c
+    if any(c < 0 for c in out):
+        raise InvariantViolation(f"Phi_{s}(X^{t}) not nonnegative mod X^{n}-1")
+    return MaskMultiset(ctx, tuple(out))
 
 
 def cyclic_product(a: MaskMultiset, b: MaskMultiset) -> MaskMultiset:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from spectile import CycleDecomposition, MaskMultiset
 from spectile.cli import main
 
 
@@ -186,3 +187,33 @@ def test_exclude_rejects_repeated_prime(capsys):
     with pytest.raises(SystemExit) as err:
         run(capsys, "exclude", "--n", "2^3*2^4")
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "12:{0,1,6,7}"],
+        ["decompose", "6:{0,3}"],
+        ["verify", "--spectral", "12:{0,1,6,7}", "12:{0,1,6,7}"],
+        ["profile", "12:{0,1,6,7}", "12:{0,1,6,7}"],
+        ["exclude", "--n", "2^9*3^100"],
+    ],
+)
+def test_threads_is_a_survey_only_option(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run(capsys, argv[0], "--threads", "2", *argv[1:])
+    assert err.value.code == 2
+
+
+def test_decompose_large_multiplicities(capsys):
+    # one cycle per 2000 copies used to mean one recursion level per copy
+    code, out, _ = run(capsys, "decompose", "--json", "6:{0*2000,2*2000,4*2000}")
+    assert code == 0
+    obj = json.loads(out)
+    dec = CycleDecomposition(
+        MaskMultiset.from_coeffs(6, obj["p_part"]),
+        MaskMultiset.from_coeffs(6, obj["q_part"]),
+        2,
+        3,
+    )
+    assert list(dec.recompose().coeffs) == [2000, 0, 2000, 0, 2000, 0]

@@ -17,6 +17,7 @@ from spectile import (
     verify_spectral_pair,
     verify_tiling_pair,
 )
+from spectile import search, zn
 from spectile.search import affine_canonical_form, translation_canonical_form
 
 import oracles
@@ -294,3 +295,54 @@ def test_trivial_group_survey_and_counts():
     res = fuglede_survey(group(1), SurveyOptions(collect_records=True, affine=True))
     assert res.summary["complete"] and res.summary["f_count"] == 0
     assert res.records[0]["set"] == [0]
+
+
+# ---------------------------------------------------------------------------
+# work done once
+
+
+@pytest.mark.parametrize("rep, passes", [((0, 1, 6, 7), True), ((0, 1, 3), False)])
+def test_classify_set_computes_the_zero_set_once(monkeypatch, rep, passes):
+    made = []
+    real = zn.ZeroSet
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(zn, "ZeroSet", counting)
+    rec = search.classify_set(rep, 12)
+    assert (rec["cm"]["t1"] and rec["cm"]["t2"]) == passes
+    assert len(made) == 1
+    assert rec["vanishing_divisors"] == sorted(made[0][1])
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_survey_classifies_every_orbit_through_the_module_attribute(monkeypatch, affine):
+    # external timers hook the survey's unit of work at search.classify_set
+    seen = []
+    real = search.classify_set
+
+    def counting(rep, *args, **kwargs):
+        seen.append(rep)
+        return real(rep, *args, **kwargs)
+
+    monkeypatch.setattr(search, "classify_set", counting)
+    opts = SurveyOptions(threads=1, affine=affine, collect_records=False)
+    summary = fuglede_survey(group(12), opts).summary
+    assert len(seen) == len(set(seen)) == orbit_count(12, affine=affine)
+    assert summary["orbits_surveyed"] == len(seen)
+
+
+def test_survey_counts_orbits_once_per_size(monkeypatch):
+    calls = []
+    real = search.orbit_count
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "orbit_count", counting)
+    summary = fuglede_survey(group(12), SurveyOptions(threads=1, affine=True)).summary
+    assert sorted(k for _, k, _ in calls) == list(range(1, 13))
+    assert summary["complete"]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from spectile import (
     DomainError,
+    InvariantViolation,
     MaskMultiset,
     ParseError,
     cyclic_product,
@@ -21,7 +23,9 @@ from spectile import (
     parse_multiset,
     restrict_class,
     vanishes_at,
+    verify_spectral_pair,
     zero_set,
+    ZeroSet,
 )
 from spectile.zn import poly_divmod, poly_mul, poly_trim
 
@@ -341,3 +345,43 @@ def test_packed_product_fallback_for_heavy_masses():
     ones = MaskMultiset.from_coeffs(4, [1, 1, 1, 1])
     unit = MaskMultiset.from_coeffs(4, [1, 0, 0, 0])
     assert is_full_group_product(ones, unit)
+
+
+# ---------------------------------------------------------------------------
+# the stored zero set
+
+
+def _check_stored_zero_set(a):
+    n = a.n
+    za = zero_set(a)
+    direct = {d for d in divisors(n) if d > 1 and vanishes_at(a, d)}
+    assert za.vanishing_divisors == direct == oracles.zero_divisors(a.coeffs, n)
+    assert zero_set(a) is za
+
+
+def test_stored_zero_set_matches_direct_tests_and_oracle_on_all_small_sets():
+    for n in range(1, 13):
+        for bits in range(1, 1 << n):
+            _check_stored_zero_set(
+                MaskMultiset.from_elements(n, [i for i in range(n) if bits >> i & 1])
+            )
+
+
+def test_stored_zero_set_matches_direct_tests_and_oracle_on_seeded_multisets():
+    rng = random.Random(20_000_558)
+    checked = 0
+    while checked < 300:
+        n = rng.choice([12, 18, 20, 24, 30, 36])
+        coeffs = [rng.choice([0, 0, 0, 1, 2, 5]) for _ in range(n)]
+        if any(coeffs):
+            _check_stored_zero_set(MaskMultiset.from_coeffs(n, coeffs))
+            checked += 1
+
+
+def test_vanishes_at_ignores_the_stored_zero_set():
+    # the spectral route cross-check relies on the two routes staying apart
+    a = MaskMultiset.from_elements(12, [0, 1, 6, 7])
+    object.__setattr__(a, "_zero_set", ZeroSet(a.ctx, frozenset()))
+    assert vanishes_at(a, 2) and vanishes_at(a, 12)
+    with pytest.raises(InvariantViolation):
+        verify_spectral_pair(a, MaskMultiset.from_elements(12, [0, 1, 6, 7]))
