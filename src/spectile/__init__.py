@@ -1,5 +1,8 @@
 """Exact computations with spectral sets and tiles in finite cyclic groups."""
 
+# set before the submodules load: survey cursors are fingerprinted with it
+__version__ = "0.1.0"
+
 from .errors import (
     DomainError,
     InvariantViolation,
@@ -78,5 +81,3 @@ from .search import (
     fuglede_survey,
     orbit_count,
 )
-
-__version__ = "0.1.0"

@@ -2,9 +2,11 @@
 
 Subcommands: analyze, survey, decompose, verify, profile, exclude.
 Exit codes: 0 success/verified, 1 verification-failure verdict, 2 usage or
-parse errors, 3 budget exhaustion.  JSON output is schema-versioned and
-serialized canonically (sorted keys, tight separators) so that byte-identical
-round trips hold.
+parse errors, 3 budget exhaustion, 4 internal error (one `error:` line).
+JSON output is schema-versioned and serialized canonically (sorted keys, tight
+separators) so that byte-identical round trips hold.  `survey` streams records
+task by task; `--resume DIR` keeps `manifest.json` and `task-NNNNNN.jsonl`
+files in DIR, which may be moved between runs.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import re
 import sys
 
 from . import cm, cycles, pairs, search
-from .errors import DomainError, ParseError, PreconditionError
+from .errors import DomainError, InvariantViolation, ParseError, PreconditionError, SpectileError
 from .zn import GroupContext, group, parse_multiset, zero_set
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _dumps(obj):
@@ -105,9 +108,6 @@ def _cmd_decompose(args):
     a = _parse_set_arg(args.set)
     try:
         dec = cycles.lam_leung_decompose(a)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PreconditionError as exc:
         _emit(
             {"schema": "spectile.decompose/1", "ok": False, "reason": str(exc)},
@@ -156,20 +156,16 @@ def _cmd_profile(args):
         _emit(out, args.json, [f"not a spectral pair: {check.reason} {check.witness}"])
         return EXIT_FAIL
     pair = check.pair
-    try:
-        out = {
-            "schema": "spectile.profile/1",
-            "ok": True,
-            "profile": pairs.root_profile(pair).to_json(),
-            "symmetry": pairs.symmetry_check(pair),
-            "deficits": pairs.deficit_bounds_check(pair),
-            "roots_panel": pairs.required_roots_panel(pair),
-            "primitive_a": pairs.is_primitive(a),
-            "primitive_b": pairs.is_primitive(b),
-        }
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out = {
+        "schema": "spectile.profile/1",
+        "ok": True,
+        "profile": pairs.root_profile(pair).to_json(),
+        "symmetry": pairs.symmetry_check(pair),
+        "deficits": pairs.deficit_bounds_check(pair),
+        "roots_panel": pairs.required_roots_panel(pair),
+        "primitive_a": pairs.is_primitive(a),
+        "primitive_b": pairs.is_primitive(b),
+    }
     human = [
         "verified spectral pair",
         f"member A: {out['profile']['a']}",
@@ -183,11 +179,7 @@ def _cmd_profile(args):
 
 def _cmd_exclude(args):
     ctx = _parse_factored(args.n)
-    try:
-        verdict = pairs.exclusion_predicate(ctx)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    verdict = pairs.exclusion_predicate(ctx)
     out = {"schema": "spectile.exclude/1"}
     out.update(verdict.to_json())
     human = [f"{verdict.verdict}: " + "; ".join(verdict.reasons)]
@@ -296,7 +288,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # exit 1 is a verdict, so no failure may end there
+    try:
+        return args.func(args)
+    except InvariantViolation as exc:
+        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except SpectileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -27,17 +27,19 @@ import json
 import math
 import os
 import random
-import tempfile
+import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import get_context
 
-from . import cm, pairs
+from . import __version__, cm, pairs
 from .errors import DomainError, InvariantViolation
 from .zn import MaskMultiset, divisors, group, zero_set
 
 DEFAULT_NODE_BUDGET = 500_000
+SURVEY_SCHEMA = "spectile.survey/1"
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +376,11 @@ class SurveyOptions:
     progress: bool = False
 
     def fingerprint(self):
+        # a cursor from other code or another record schema is recomputed, not merged
         return json.dumps(
             {
+                "schema": SURVEY_SCHEMA,
+                "version": __version__,
                 "sizes": sorted(self.sizes) if self.sizes else None,
                 "affine": self.affine,
                 "node_budget": self.node_budget,
@@ -497,7 +502,7 @@ def _sample_reps(n, k, limit, seed, affine):
 
 
 def _plan_tasks(n, opts: SurveyOptions):
-    """The survey's tasks, and each planned size's orbit total (by Burnside)."""
+    """The survey's tasks in record order, and each planned size's orbit total (by Burnside)."""
     sizes = sorted(opts.sizes) if opts.sizes else list(range(1, n + 1))
     tasks = []
     totals = {}
@@ -506,33 +511,25 @@ def _plan_tasks(n, opts: SurveyOptions):
             continue
         total = totals[k] = orbit_count(n, k, opts.affine)
         if opts.per_size_limit is not None and total > opts.per_size_limit:
-            reps = _sample_reps(n, k, opts.per_size_limit, opts.seed, opts.affine)
-            tasks.append(("list", k, tuple(reps)))
+            tasks.append(("sample", k, None))
         elif k == 1:
             tasks.append(("enum", k, None))
         else:
-            for a1 in range(1, n - k + 2):
-                tasks.append(("enum", k, a1))
+            tasks.extend(("enum", k, a1) for a1 in range(1, n - k + 2))
     return tasks, totals
 
 
-def _task_key(task):
-    kind, k, extra = task
-    return (k, 0 if extra is None else (extra if kind == "enum" else -1), kind)
-
-
 def _run_task(args):
-    n, task, node_budget, dual_certify, affine, spool_dir, task_id = args
-    kind, k, extra = task
-    if kind == "enum":
-        reps = _canonical_of_size(n, k, affine, first=extra)
+    """Classify one task's sets; returns (tallies, records) and touches no file."""
+    n, opts, (kind, k, first) = args
+    if kind == "sample":
+        reps = _sample_reps(n, k, opts.per_size_limit, opts.seed, opts.affine)
     else:
-        reps = extra
+        reps = _canonical_of_size(n, k, opts.affine, first=first)
     records = []
     agg = {
-        "task_id": task_id,
         "size": k,
-        "count": 0,
+        "surveyed": 0,
         "spectral": 0,
         "tiles": 0,
         "cm_pass": 0,
@@ -540,50 +537,61 @@ def _run_task(args):
         "unresolved": [],
         "nonprimitive_spectral_cm": [],
     }
-    sink_path = None
-    fh = None
-    if spool_dir is not None:
-        sink_path = os.path.join(spool_dir, f"task-{task_id:06d}.jsonl")
-        fh = open(sink_path, "w", encoding="utf-8")
-    try:
-        for rep in reps:
-            rec = classify_set(rep, n, node_budget, dual_certify)
-            agg["count"] += 1
-            if rec["cm"]["t1"] and rec["cm"]["t2"]:
-                agg["cm_pass"] += 1
-            if rec["spectral"]["verdict"] == "found":
-                agg["spectral"] += 1
-            if rec["tile"]["verdict"] == "found":
-                agg["tiles"] += 1
-            if rec["f_member"]:
-                agg["f_members"].append(list(rep))
-            if "unknown" in (rec["spectral"]["verdict"], rec["tile"]["verdict"]):
-                agg["unresolved"].append(list(rep))
-            if rec["spectral"]["verdict"] == "found":
-                ctx = group(n)
-                a = MaskMultiset.from_elements(ctx, rep)
-                if not pairs.is_primitive(a):
-                    ok = rec["cm"]["t1"] and rec["cm"]["t2"]
-                    agg["nonprimitive_spectral_cm"].append(bool(ok))
-            if fh is not None:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-            else:
-                records.append(rec)
-    finally:
-        if fh is not None:
-            fh.close()
-    agg["spool"] = sink_path
-    return task_id, agg, records if spool_dir is None else None
+    for rep in reps:
+        rec = classify_set(rep, n, opts.node_budget, opts.dual_certify)
+        structured = rec["cm"]["t1"] and rec["cm"]["t2"]
+        agg["surveyed"] += 1
+        agg["cm_pass"] += structured
+        if rec["tile"]["verdict"] == "found":
+            agg["tiles"] += 1
+        if rec["spectral"]["verdict"] == "found":
+            agg["spectral"] += 1
+            if not pairs.is_primitive(MaskMultiset.from_elements(group(n), rep)):
+                agg["nonprimitive_spectral_cm"].append(bool(structured))
+        if rec["f_member"]:
+            agg["f_members"].append(list(rep))
+        if "unknown" in (rec["spectral"]["verdict"], rec["tile"]["verdict"]):
+            agg["unresolved"].append(list(rep))
+        records.append(rec)
+    return agg, records
+
+
+def _task_results(pending, threads):
+    """(tallies, records) of each pending task, in the order given."""
+    if threads > 1 and len(pending) > 1:
+        with get_context("fork").Pool(threads) as pool:
+            yield from pool.imap(_run_task, pending, chunksize=1)
+    else:
+        yield from map(_run_task, pending)
+
+
+def _spool_path(cursor, tid):
+    return os.path.join(cursor, f"task-{tid:06d}.jsonl")
+
+
+def _save_task(cursor, n, fingerprint, manifest, tid, records):
+    # the spool file is complete before the manifest names its task
+    with open(_spool_path(cursor, tid), "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
+    tmp = os.path.join(cursor, "manifest.json.tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump({"n": n, "fingerprint": fingerprint, "tasks": manifest}, fh)
+    os.replace(tmp, os.path.join(cursor, "manifest.json"))
 
 
 def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) -> SurveyResult:
     """Classify every canonical subset of Z_N and certify the spectral/tile split.
 
-    Records flow to record_sink (or into the returned list) in a deterministic
-    order independent of worker scheduling: tasks are sharded by (size, first
-    element), results merged in task order.  Budget exhaustion on any set
-    downgrades the summary to incomplete and lists the unresolved sets.
+    Tasks are sharded by (size, first element); each task's records go to
+    record_sink (or into the returned list) as soon as it comes up in task
+    order, so the order is the same for any worker count.  With cursor_dir
+    set, a finished task's records go to <cursor_dir>/task-NNNNNN.jsonl and
+    its tallies to <cursor_dir>/manifest.json, and a rerun with the same
+    options and code replays them; the directory may be moved.  Budget
+    exhaustion on any set downgrades the summary to incomplete and lists the
+    unresolved sets.
     """
     opts = options or SurveyOptions()
     n = ctx.n
@@ -591,107 +599,59 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
         raise DomainError(f"order {n} beyond the configured feasibility bound {opts.max_n}")
     t0 = time.time()
     tasks, totals = _plan_tasks(n, opts)
-    task_order = sorted(range(len(tasks)), key=lambda i: _task_key(tasks[i]))
-    want_spool = opts.threads > 1 and (record_sink is not None or opts.collect_records)
-    spool_dir = None
-    cleanup_spool = False
+    cursor = opts.cursor_dir
+    fingerprint = opts.fingerprint()
     manifest = {}
-    if opts.cursor_dir is not None:
-        os.makedirs(opts.cursor_dir, exist_ok=True)
-        spool_dir = opts.cursor_dir
-        manifest_path = os.path.join(spool_dir, "manifest.json")
-        if os.path.exists(manifest_path):
-            with open(manifest_path, encoding="utf-8") as fh:
+    if cursor is not None:
+        os.makedirs(cursor, exist_ok=True)
+        path = os.path.join(cursor, "manifest.json")
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
                 old = json.load(fh)
-            if old.get("n") == n and old.get("fingerprint") == opts.fingerprint():
-                manifest = {int(k): v for k, v in old.get("tasks", {}).items()}
-    elif want_spool:
-        spool_dir = tempfile.mkdtemp(prefix="spectile-survey-")
-        cleanup_spool = True
-
-    pending = []
-    for tid in task_order:
-        if tid in manifest:
-            continue
-        pending.append(
-            (n, tasks[tid], opts.node_budget, opts.dual_certify, opts.affine, spool_dir, tid)
-        )
-
-    inline_records = {}
-    done = 0
-
-    def note(tid, agg, recs):
-        nonlocal done
-        manifest[tid] = agg
-        if recs is not None:
-            inline_records[tid] = recs
-        done += 1
-        if opts.cursor_dir is not None:
-            tmp = os.path.join(spool_dir, "manifest.json.tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {"n": n, "fingerprint": opts.fingerprint(), "tasks": manifest},
-                    fh,
-                )
-            os.replace(tmp, os.path.join(spool_dir, "manifest.json"))
-        if opts.progress:
-            print(
-                f"[survey n={n}] {done}/{len(pending)} tasks",
-                flush=True,
-                file=__import__("sys").stderr,
-            )
-
-    if opts.threads > 1 and len(pending) > 1:
-        mp = get_context("fork")
-        with mp.Pool(opts.threads) as pool:
-            for tid, agg, recs in pool.imap_unordered(_run_task, pending, chunksize=1):
-                note(tid, agg, recs)
-    else:
-        for args in pending:
-            tid, agg, recs = _run_task(args)
-            note(tid, agg, recs)
-
+            if old.get("n") == n and old.get("fingerprint") == fingerprint:
+                manifest = {int(tid): agg for tid, agg in old["tasks"].items()}
+    pending = [(n, opts, task) for tid, task in enumerate(tasks) if tid not in manifest]
     records = [] if (opts.collect_records and record_sink is None) else None
-    for tid in task_order:
-        agg = manifest[tid]
-        recs = None
-        if tid in inline_records:
-            recs = inline_records[tid]
-        elif agg.get("spool"):
-            with open(agg["spool"], encoding="utf-8") as fh:
-                recs = [json.loads(line) for line in fh]
-        if recs is None:
-            continue
-        for rec in recs:
-            if record_sink is not None:
-                record_sink(rec)
-            elif records is not None:
-                records.append(rec)
+    sink = record_sink if records is None else records.append
 
-    per_size = {}
-    for tid in task_order:
-        agg = manifest[tid]
-        k = agg["size"]
-        slot = per_size.setdefault(
-            k,
-            {"surveyed": 0, "total": totals[k], "spectral": 0, "tiles": 0, "cm_pass": 0},
-        )
-        slot["surveyed"] += agg["count"]
-        slot["spectral"] += agg["spectral"]
-        slot["tiles"] += agg["tiles"]
-        slot["cm_pass"] += agg["cm_pass"]
+    done = 0
+    with closing(_task_results(pending, opts.threads)) as results:
+        for tid in range(len(tasks)):
+            if tid not in manifest:
+                manifest[tid], recs = next(results)
+                if cursor is not None:
+                    _save_task(cursor, n, fingerprint, manifest, tid, recs)
+                done += 1
+                if opts.progress:
+                    print(f"[survey n={n}] {done}/{len(pending)} tasks",
+                          flush=True, file=sys.stderr)
+            elif sink is not None:
+                with open(_spool_path(cursor, tid), encoding="utf-8") as fh:
+                    recs = [json.loads(line) for line in fh]
+            if sink is not None:
+                for rec in recs:
+                    sink(rec)
+
+    per_size = {
+        k: {"surveyed": 0, "total": total, "spectral": 0, "tiles": 0, "cm_pass": 0}
+        for k, total in totals.items()
+    }
     f_members = []
     unresolved = []
     nonprim = []
-    for tid in task_order:
-        f_members.extend(tuple(x) for x in manifest[tid]["f_members"])
-        unresolved.extend(tuple(x) for x in manifest[tid]["unresolved"])
-        nonprim.extend(manifest[tid]["nonprimitive_spectral_cm"])
+    for tid in range(len(tasks)):
+        agg = manifest[tid]
+        slot = per_size[agg["size"]]
+        for key in ("surveyed", "spectral", "tiles", "cm_pass"):
+            slot[key] += agg[key]
+        f_members += agg["f_members"]
+        unresolved += agg["unresolved"]
+        nonprim += agg["nonprimitive_spectral_cm"]
     surveyed = sum(s["surveyed"] for s in per_size.values())
     total = sum(s["total"] for s in per_size.values())
     summary = {
         "type": "summary",
-        "schema": "spectile.survey/1",
+        "schema": SURVEY_SCHEMA,
         "n": n,
         "affine": opts.affine,
         "seed": opts.seed,
@@ -701,14 +661,10 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
         "orbits_total": total,
         "per_size": {str(k): v for k, v in sorted(per_size.items())},
         "f_count": len(f_members),
-        "f_members": [list(x) for x in sorted(f_members)],
-        "unresolved": [list(x) for x in sorted(unresolved)],
-        "nonprimitive_spectral_all_structured": all(nonprim) if nonprim else True,
+        "f_members": sorted(f_members),
+        "unresolved": sorted(unresolved),
+        "nonprimitive_spectral_all_structured": all(nonprim),
         "complete": surveyed == total and not unresolved,
         "elapsed_s": round(time.time() - t0, 3),
     }
-    if cleanup_spool and spool_dir:
-        for name in os.listdir(spool_dir):
-            os.unlink(os.path.join(spool_dir, name))
-        os.rmdir(spool_dir)
     return SurveyResult(records, summary)

@@ -319,11 +319,12 @@ def parse_multiset(text) -> MaskMultiset:
             raise ParseError('JSON set literal needs keys "n" and "coeffs"')
         n = obj["n"]
         coeffs = obj["coeffs"]
-        if not isinstance(n, int) or n < 1:
+        # JSON true/false load as bool, a subclass of int
+        if type(n) is not int or n < 1:
             raise ParseError('"n" must be a positive integer')
         if not isinstance(coeffs, list) or len(coeffs) != n:
             raise ParseError(f'"coeffs" must be a list of length {n}')
-        if any(not isinstance(c, int) or c < 0 for c in coeffs):
+        if any(type(c) is not int or c < 0 for c in coeffs):
             raise ParseError('"coeffs" entries must be nonnegative integers')
         return MaskMultiset.from_coeffs(n, coeffs)
 

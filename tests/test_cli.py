@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spectile import CycleDecomposition, MaskMultiset
+from spectile import CycleDecomposition, InvariantViolation, MaskMultiset, search
 from spectile.cli import main
 
 
@@ -217,3 +217,29 @@ def test_decompose_large_multiplicities(capsys):
         3,
     )
     assert list(dec.recompose().coeffs) == [2000, 0, 2000, 0, 2000, 0]
+
+
+def test_json_boolean_coefficients_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run(capsys, "analyze", '{"n":3,"coeffs":[true,false,true]}')
+    assert err.value.code == 2
+
+
+def test_escaping_library_error_exits_2(capsys):
+    # Z_41 is past the survey's default feasibility bound (a DomainError)
+    code, out, err = run(capsys, "survey", "--n", "41", "--threads", "1")
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc", [InvariantViolation("forged"), RuntimeError("forged")])
+def test_crash_exits_4_not_1(capsys, monkeypatch, exc):
+    # exit 1 means "spectral non-tile found"; a crash must not read as that
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(search, "classify_set", broken)
+    code, _, err = run(capsys, "survey", "--json", "--n", "6", "--threads", "1")
+    assert code == 4
+    assert err.startswith("error: ") and "forged" in err
+    assert len(err.strip().splitlines()) == 1

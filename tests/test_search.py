@@ -346,3 +346,99 @@ def test_survey_counts_orbits_once_per_size(monkeypatch):
     summary = fuglede_survey(group(12), SurveyOptions(threads=1, affine=True)).summary
     assert sorted(k for _, k, _ in calls) == list(range(1, 13))
     assert summary["complete"]
+
+
+# ---------------------------------------------------------------------------
+# one record path: ordered streaming, pure workers, relocatable cursors
+
+
+def _without_elapsed(summary):
+    return {k: v for k, v in summary.items() if k != "elapsed_s"}
+
+
+def _counting_classify(monkeypatch):
+    seen = []
+    real = search.classify_set
+
+    def counting(rep, *args, **kwargs):
+        seen.append(rep)
+        return real(rep, *args, **kwargs)
+
+    monkeypatch.setattr(search, "classify_set", counting)
+    return seen
+
+
+def test_survey_streams_records_before_the_last_orbit(monkeypatch):
+    seen = _counting_classify(monkeypatch)
+    classified_at_first_record = []
+
+    def sink(rec):
+        if not classified_at_first_record:
+            classified_at_first_record.append(len(seen))
+
+    summary = fuglede_survey(
+        group(12), SurveyOptions(threads=1, collect_records=False), record_sink=sink
+    ).summary
+    assert len(seen) == summary["orbits_surveyed"]
+    assert classified_at_first_record[0] < len(seen)
+
+
+def test_survey_cursor_may_move(tmp_path, monkeypatch):
+    opts = dict(collect_records=True, threads=1, per_size_limit=6, seed=3)
+    first = fuglede_survey(group(14), SurveyOptions(cursor_dir=str(tmp_path / "a"), **opts))
+    (tmp_path / "a").rename(tmp_path / "b")
+    seen = _counting_classify(monkeypatch)
+    again = fuglede_survey(group(14), SurveyOptions(cursor_dir=str(tmp_path / "b"), **opts))
+    assert seen == []
+    assert again.records == first.records
+    assert _without_elapsed(again.summary) == _without_elapsed(first.summary)
+
+
+def test_two_worker_cursor_survey_matches_one_worker(tmp_path):
+    cursor = tmp_path / "cursor"
+    one = fuglede_survey(group(10), SurveyOptions(collect_records=True, threads=1))
+    two = fuglede_survey(
+        group(10), SurveyOptions(collect_records=True, threads=2, cursor_dir=str(cursor))
+    )
+    assert two.records == one.records
+    assert _without_elapsed(two.summary) == _without_elapsed(one.summary)
+    text = (cursor / "manifest.json").read_text()
+    assert str(tmp_path) not in text and ".jsonl" not in text
+    manifest = json.loads(text)
+    spools = sorted(p.name for p in cursor.iterdir() if p.name != "manifest.json")
+    assert spools == [f"task-{int(t):06d}.jsonl" for t in sorted(manifest["tasks"], key=int)]
+    spooled = [json.loads(ln) for name in spools for ln in (cursor / name).read_text().splitlines()]
+    assert spooled == one.records
+
+
+def test_survey_fingerprint_names_schema_and_version(tmp_path, monkeypatch):
+    import spectile
+
+    fp = json.loads(SurveyOptions().fingerprint())
+    assert fp["schema"] == "spectile.survey/1"
+    assert fp["version"] == spectile.__version__
+    # a cursor written by another version is recomputed, not merged
+    cursor = tmp_path / "cursor"
+    opts = SurveyOptions(collect_records=True, threads=1, cursor_dir=str(cursor))
+    first = fuglede_survey(group(8), opts)
+    path = cursor / "manifest.json"
+    manifest = json.loads(path.read_text())
+    stale = json.loads(manifest["fingerprint"])
+    stale["version"] = "0.0.0"
+    manifest["fingerprint"] = json.dumps(stale, sort_keys=True)
+    path.write_text(json.dumps(manifest))
+    seen = _counting_classify(monkeypatch)
+    again = fuglede_survey(group(8), opts)
+    assert len(seen) == again.summary["orbits_surveyed"] == orbit_count(8)
+    assert again.records == first.records
+
+
+def test_planning_draws_no_samples(monkeypatch):
+    # samples are drawn inside the tasks, so workers share the drawing
+    def forbidden(*args):
+        raise AssertionError("sampled while planning")
+
+    monkeypatch.setattr(search, "_sample_reps", forbidden)
+    tasks, totals = search._plan_tasks(32, SurveyOptions(per_size_limit=400))
+    assert totals == {k: orbit_count(32, k) for k in range(1, 33)}
+    assert [t for t in tasks if t[0] == "sample"]

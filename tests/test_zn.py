@@ -302,6 +302,20 @@ def test_parse_rejects_malformed(bad):
         parse_multiset(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"n":3,"coeffs":[true,false,true]}',
+        '{"n":3,"coeffs":[1,0,true]}',
+        '{"n":true,"coeffs":[1]}',
+    ],
+)
+def test_parse_rejects_json_booleans(bad):
+    # JSON true/false load as Python bools, which are ints
+    with pytest.raises(ParseError):
+        parse_multiset(bad)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_multiset("nope")
