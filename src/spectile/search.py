@@ -4,9 +4,8 @@ Three layers:
 
   * canonical enumeration: one representative per translation orbit (or per
     affine orbit when requested), namely the lexicographically least translate
-    containing 0.  Representatives are recognized through their circular gap
-    sequences: the lex-least translate corresponds exactly to the lex-minimal
-    rotation of the gap word, so the test is a rotation scan with early exit.
+    containing 0, which is the translate whose bitmask key is largest; the test
+    scans the key's rotations by the set's elements with early exit.
 
   * witness searches: spectra are cliques of size |A| (containing 0) in the
     graph on {0} union Z(A) with edges x ~ y iff x - y lies in Z(A); tiling
@@ -44,64 +43,35 @@ SURVEY_SCHEMA = "spectile.survey/1"
 
 # ---------------------------------------------------------------------------
 # canonical representatives
+#
+# A set's key is the n-bit integer with bit n-1-x set for each element x.  Of
+# two sets of one size, the one with the larger key has the lexicographically
+# smaller sorted tuple, and the key of S - t is the key of S rotated left by t.
+# The canonical representative is therefore the translate (of any unit dilate,
+# for affine orbits) with the largest key; it contains 0, so only rotations by
+# an element of the set need checking.
 
 
-def _gaps(rep, n):
-    k = len(rep)
-    return tuple(rep[i + 1] - rep[i] for i in range(k - 1)) + (n - rep[-1],)
-
-
-def _rep_from_gaps(gaps):
-    out = [0]
-    for g in gaps[:-1]:
-        out.append(out[-1] + g)
-    return tuple(out)
-
-
-def _is_min_rotation(g):
-    # lex-minimal among all rotations; ties (periodic words) still canonical
-    k = len(g)
-    g0 = g[0]
-    for x in g:
-        if x < g0:
-            return False
-    for r in range(1, k):
-        for i in range(k):
-            a = g[(r + i) % k]
-            b = g[i]
-            if a != b:
-                if a < b:
-                    return False
-                break
-    return True
-
-
-def _min_rotation(g):
-    k = len(g)
-    best = g
-    for r in range(1, k):
-        cand = g[r:] + g[:r]
-        if cand < best:
-            best = cand
-    return best
-
-
-def affine_canonical_form(rep, n):
-    """Lex-least translate-containing-0 over all unit dilations of the set."""
-    best = None
-    for u in group(n).units():
-        s = tuple(sorted((u * x) % n for x in rep))
-        cand = _min_rotation(_gaps(s, n))
-        if best is None or cand < best:
-            best = cand
-    return _rep_from_gaps(best)
+def _canonical_form(rep, n, units):
+    """The lex-least set containing 0 in the orbit of rep under x -> u*x + t, u in units."""
+    full = (1 << n) - 1
+    best = 0
+    for u in units:
+        image = {u * x % n for x in rep}
+        key = sum(1 << (n - 1 - y) for y in image)
+        wide = key << n | key
+        for y in image:
+            best = max(best, wide >> (n - y) & full)
+    return tuple(x for x in range(n) if best >> (n - 1 - x) & 1)
 
 
 def translation_canonical_form(rep, n):
-    s = tuple(sorted(x % n for x in rep))
-    if 0 not in s:
-        s = tuple(sorted((x - s[0]) % n for x in s))
-    return _rep_from_gaps(_min_rotation(_gaps(s, n)))
+    return _canonical_form(rep, n, (1,))
+
+
+def affine_canonical_form(rep, n):
+    """Lex-least translate containing 0 over all unit dilations of the set."""
+    return _canonical_form(rep, n, group(n).units())
 
 
 def canonical_sets(n, size=None, affine=False):
@@ -122,19 +92,34 @@ def _canonical_of_size(n, k, affine, first=None):
         if first is None:
             yield (0,)
         return
-    if first is None:
-        firsts = range(1, n - k + 2)
-    else:
-        firsts = [first]
+    full = (1 << n) - 1
+    bit = [1 << (n - 1 - x) for x in range(n)]
+    # per unit u != 1: the key bit and the rotation shift of u*x, indexed by x
+    dilations = [([bit[u * x % n] for x in range(n)], [n - u * x % n for x in range(n)])
+                 for u in (group(n).units()[1:] if affine else ())]
+    firsts = range(1, n - k + 2) if first is None else [first]
     for a1 in firsts:
-        for combo in combinations(range(a1 + 1, n), k - 2):
+        head = bit[0] | bit[a1]
+        # a1 is the least gap of a canonical set, so later elements lie in [2*a1, n-a1]
+        for combo in combinations(range(2 * a1, n - a1 + 1), k - 2):
             rep = (0, a1) + combo
-            g = _gaps(rep, n)
-            if not _is_min_rotation(g):
-                continue
-            if affine and affine_canonical_form(rep, n) != rep:
-                continue
-            yield rep
+            key = head + sum(map(bit.__getitem__, combo))
+            wide = key << n | key
+            for x in rep:
+                if wide >> (n - x) & full > key:
+                    break
+            else:
+                for ubit, shift in dilations:
+                    ukey = sum(map(ubit.__getitem__, rep))
+                    wide = ukey << n | ukey
+                    for x in rep:
+                        if wide >> shift[x] & full > key:
+                            break
+                    else:
+                        continue
+                    break  # some translate of this dilate has a larger key
+                else:
+                    yield rep
 
 
 def orbit_count(n, size=None, affine=False):
@@ -485,6 +470,7 @@ def _f_diagnostics(a, b):
 
 def _sample_reps(n, k, limit, seed, affine):
     rng = random.Random(f"{seed}:{n}:{k}")
+    units = group(n).units() if affine else (1,)
     reps = set()
     attempts = 0
     cap = 200 * limit + 1000
@@ -494,10 +480,7 @@ def _sample_reps(n, k, limit, seed, affine):
             reps.add((0,))
             break
         picks = rng.sample(range(1, n), k - 1)
-        rep = translation_canonical_form(tuple([0] + sorted(picks)), n)
-        if affine:
-            rep = affine_canonical_form(rep, n)
-        reps.add(rep)
+        reps.add(_canonical_form([0] + picks, n, units))
     return sorted(reps)
 
 
@@ -609,7 +592,9 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
             with open(path, encoding="utf-8") as fh:
                 old = json.load(fh)
             if old.get("n") == n and old.get("fingerprint") == fingerprint:
-                manifest = {int(tid): agg for tid, agg in old["tasks"].items()}
+                # a task whose spool file is gone is pending again
+                manifest = {int(tid): agg for tid, agg in old["tasks"].items()
+                            if os.path.exists(_spool_path(cursor, int(tid)))}
     pending = [(n, opts, task) for tid, task in enumerate(tasks) if tid not in manifest]
     records = [] if (opts.collect_records and record_sink is None) else None
     sink = record_sink if records is None else records.append

@@ -303,6 +303,12 @@ class MaskMultiset:
         return {"n": self.n, "coeffs": list(self.coeffs)}
 
 
+# The largest group order a set literal may name.  A literal becomes a dense
+# coefficient vector of that length, so the order is checked before anything
+# is allocated; the bound sits far above every order the searches can reach.
+MAX_ORDER = 1 << 20
+
+
 def parse_multiset(text) -> MaskMultiset:
     """Parse a set literal, either `N:{a1*m1,a2,...}` or JSON {"n":..,"coeffs":[..]}.
 
@@ -313,15 +319,16 @@ def parse_multiset(text) -> MaskMultiset:
     if s.startswith("{"):
         try:
             obj = json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON set literal: {exc}", position=exc.pos) from exc
+        except (ValueError, RecursionError) as exc:  # over-long numbers, deep nesting
+            pos = getattr(exc, "pos", None)
+            raise ParseError(f"bad JSON set literal: {exc}", position=pos) from exc
         if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
             raise ParseError('JSON set literal needs keys "n" and "coeffs"')
         n = obj["n"]
         coeffs = obj["coeffs"]
         # JSON true/false load as bool, a subclass of int
-        if type(n) is not int or n < 1:
-            raise ParseError('"n" must be a positive integer')
+        if type(n) is not int or not 1 <= n <= MAX_ORDER:
+            raise ParseError(f'"n" must be an integer in 1..{MAX_ORDER}')
         if not isinstance(coeffs, list) or len(coeffs) != n:
             raise ParseError(f'"coeffs" must be a list of length {n}')
         if any(type(c) is not int or c < 0 for c in coeffs):
@@ -335,8 +342,8 @@ def parse_multiset(text) -> MaskMultiset:
         n = int(s[:colon])
     except ValueError:
         raise ParseError(f"bad group order {s[:colon]!r}", position=0) from None
-    if n < 1:
-        raise ParseError(f"group order must be positive, got {n}", position=0)
+    if not 1 <= n <= MAX_ORDER:
+        raise ParseError(f"group order must be in 1..{MAX_ORDER}, got {n}", position=0)
     body = s[colon + 1 :].strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ParseError("expected braces around the element list", position=colon + 1)

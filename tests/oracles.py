@@ -166,3 +166,16 @@ def affine_transversal_count(n, k):
             for v in range(n):
                 seen.add(tuple(sorted((u * x + v) % n for x in s)))
     return orbits
+
+
+def orbit_least(n, s, affine=False):
+    """The lex-least sorted image of s under x -> u*x + v (u = 1 unless affine)."""
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1] if affine else [1]
+    return min(
+        tuple(sorted({(u * x + v) % n for x in s})) for u in units or [1] for v in range(n)
+    )
+
+
+def affine_orbit_transversal(n, k):
+    """The lex-least member of each affine orbit of k-subsets, ascending."""
+    return sorted({orbit_least(n, s, affine=True) for s in combinations(range(n), k)})

@@ -1,10 +1,14 @@
 """CLI behavior: subcommands, exit codes, stable JSON."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectile import CycleDecomposition, InvariantViolation, MaskMultiset, search
+from spectile import CycleDecomposition, InvariantViolation, MaskMultiset, ParseError, search, zn
 from spectile.cli import main
 
 
@@ -243,3 +247,66 @@ def test_crash_exits_4_not_1(capsys, monkeypatch, exc):
     assert code == 4
     assert err.startswith("error: ") and "forged" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_resume_recomputes_a_task_whose_spool_file_is_gone(tmp_path, capsys, monkeypatch):
+    cursor = tmp_path / "cur"
+    args = ["survey", "--json", "--n", "6", "--threads", "1", "--resume", str(cursor)]
+    records = lambda s: [l for l in s.splitlines() if '"type":"record"' in l]
+    _, fresh, _ = run(capsys, *args)
+    lost = cursor / "task-000002.jsonl"
+    lost_sets = [tuple(json.loads(l)["set"]) for l in lost.read_text().splitlines()]
+    lost.unlink()
+    seen = []
+    real = search.classify_set
+
+    def counting(rep, *rest):
+        seen.append(rep)
+        return real(rep, *rest)
+
+    monkeypatch.setattr(search, "classify_set", counting)
+    code, again, _ = run(capsys, *args)
+    assert code == 0
+    assert records(again) == records(fresh)
+    assert seen == lost_sets and lost.exists()
+
+
+def test_oversized_order_is_a_usage_error(capsys):
+    top = zn.MAX_ORDER
+    zeros = ",".join(["0"] * (top + 1))
+    for literal in (f"{top + 1}:{{0}}", f'{{"n":{top + 1},"coeffs":[{zeros}]}}'):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "analyze", literal)
+        assert err.value.code == 2
+
+
+@st.composite
+def small_literals(draw):
+    # valid literals stay at N <= 64, where the default budget keeps analyze quick
+    n = draw(st.integers(1, 64))
+    elems = draw(st.lists(st.integers(-2 * n, 2 * n), max_size=8, unique_by=lambda a: a % n))
+    if draw(st.booleans()):
+        coeffs = [0] * n
+        for a in elems:
+            coeffs[a % n] += 1
+        return json.dumps({"n": n, "coeffs": coeffs})
+    mults = [draw(st.sampled_from([1, 1, 1, 0, 2])) for _ in elems]
+    return f"{n}:{{{','.join(f'{a}*{m}' if m != 1 else str(a) for a, m in zip(elems, mults))}}}"
+
+
+def _small_or_unparsable(text):
+    try:
+        return zn.parse_multiset(text).n <= 64
+    except ParseError:
+        return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_literals(), st.text().filter(_small_or_unparsable)))
+def test_analyze_exit_code_contract(text):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(["analyze", text])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)

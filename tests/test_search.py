@@ -1,6 +1,7 @@
 """Canonical enumeration, witness searches, and the survey machinery."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -71,6 +72,22 @@ def test_affine_reps_are_translation_canonical():
     for rep in canonical_sets(12, affine=True):
         assert translation_canonical_form(rep, 12) == rep
         assert affine_canonical_form(rep, 12) == rep
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_canonical_forms_match_brute_force_on_every_subset(n):
+    # sets without 0 included: the affine form once assumed a set contains 0
+    for k in range(1, n + 1):
+        for s in combinations(range(n), k):
+            assert translation_canonical_form(s, n) == oracles.orbit_least(n, s)
+            assert affine_canonical_form(s, n) == oracles.orbit_least(n, s, affine=True)
+    assert affine_canonical_form((2, 4, 13), 15) == (0, 1, 3)
+
+
+@pytest.mark.parametrize("n", [6, 8, 9, 10, 12])
+def test_affine_enumeration_matches_brute_transversal(n):
+    want = [rep for k in range(1, n + 1) for rep in oracles.affine_orbit_transversal(n, k)]
+    assert list(canonical_sets(n, affine=True)) == want
 
 
 # ---------------------------------------------------------------------------

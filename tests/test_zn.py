@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectile import (
@@ -27,6 +27,7 @@ from spectile import (
     zero_set,
     ZeroSet,
 )
+from spectile import zn
 from spectile.zn import poly_divmod, poly_mul, poly_trim
 
 import oracles
@@ -320,6 +321,36 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_multiset("nope")
     assert err.value.position == 0
+
+
+def test_parse_bounds_the_order_before_allocating():
+    top = zn.MAX_ORDER
+    assert top >= 1000  # the largest order the query benchmark names
+    assert parse_multiset(f"{top}:{{0,{top + 3}}}").support() == (0, 3)
+    zeros = ",".join(["0"] * (top + 1))
+    for bad in (f"{top + 1}:{{0}}", f'{{"n":{top + 1},"coeffs":[{zeros}]}}'):
+        with pytest.raises(ParseError, match="group order|\"n\""):
+            parse_multiset(bad)
+
+
+# literal-shaped noise reaches the parser's deeper branches more often than
+# arbitrary text does
+literal_noise = st.one_of(
+    st.text(),
+    st.text(alphabet='0123456789:{},*-_ "[]ntrucefalsoix.e+', max_size=40),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(literal_noise)
+@example('{"n":' + "1" * 5000 + "}")  # past the int conversion digit limit
+@example("{" + "[" * 100_000)  # past the recursion limit
+def test_parse_returns_a_multiset_or_raises_parse_error(text):
+    try:
+        a = parse_multiset(text)
+    except ParseError:
+        return
+    assert isinstance(a, MaskMultiset) and 1 <= a.n <= zn.MAX_ORDER
 
 
 def test_fold_route_matches_big_ring_up_to_60():
