@@ -14,6 +14,15 @@ they compute are theorems only under hypotheses that no desk-scale group can
 satisfy, so violations on ordinary pairs are expected and reported, never
 asserted.  A genuine counterexample candidate is precisely a pair that passes
 all of them.
+
+Every question the reporters and the weak structure checks ask of a nonempty
+member is whether it vanishes at some root of unity, so they read the
+member's stored zero set: A(zeta_d) = 0 iff d is a vanishing divisor, and
+A(zeta_N^m) = 0 iff the order N/gcd(m, N) is.  vanishes_at, which folds and
+divides afresh, stays only where that independence or generality is the
+point: route two of spectral_routes and the final self-check of
+extend_pair, which must not trust the stored value, and classify_absorption,
+which accepts an empty multiset, on which zero_set raises.
 """
 
 from __future__ import annotations
@@ -184,25 +193,16 @@ def scale_spectrum(pair: SpectralPair, m: int) -> SpectralPair:
 def is_primitive(s: MaskMultiset) -> bool:
     """Not contained in a coset of a proper subgroup.
 
-    For orders with at most two distinct primes this is equivalent to the
-    difference set meeting the units; for more primes, cosets of each maximal
-    subgroup pZ_N are tested directly.
+    Every proper subgroup of Z_N lies in a maximal one, pZ_N for a prime p | N,
+    so it suffices to test whether the support sits in one coset of some pZ_N.
+    This holds for every N; Z_1 has no proper subgroup.
     """
     if s.is_empty():
         raise PreconditionError("primitivity of the empty set is undefined")
     if not s.is_proper():
         raise PreconditionError("primitivity is defined for proper sets")
-    ctx = s.ctx
-    n = ctx.n
-    if n == 1:
-        return True
-    if len(ctx.factorization) <= 2:
-        return any(math.gcd(x, n) == 1 for x in difference_set(s))
     supp = s.support()
-    for p in ctx.primes:
-        if all((x - supp[0]) % p == 0 for x in supp):
-            return False
-    return True
+    return not any(all((x - supp[0]) % p == 0 for x in supp) for p in s.ctx.primes)
 
 
 # ---------------------------------------------------------------------------
@@ -428,64 +428,39 @@ class RootProfile:
         return {"a": self.a.to_json(), "b": self.b.to_json()}
 
 
-def _s_exponents(x: MaskMultiset, p: int, e: int) -> frozenset:
-    return frozenset(j for j in range(1, e + 1) if vanishes_at(x, p**j))
+def _prime_profile(vd: frozenset, partner_vd: frozenset, n: int, p: int, e: int, q: int):
+    """(S, R, last surviving R-exponent or -1, U, deficit) of a member at p^e || N.
 
-
-def _r_exponents(x: MaskMultiset, p: int, e: int) -> frozenset:
-    n = x.n
-    return frozenset(j for j in range(0, e + 1) if vanishes_at(dilate(x, p**j), n))
-
-
-def _max_surviving(r: frozenset, e: int) -> int:
-    """Largest exponent outside the vanishing range, or -1 when all vanish."""
-    alive = [j for j in range(0, e + 1) if j not in r]
-    return max(alive) if alive else -1
-
-
-def _u_exponents(x: MaskMultiset, p: int, e: int, q: int) -> frozenset:
-    # level 0 is excluded: there is no class structure below level 1 to feed
-    # the digit-drop count this set exists for
-    return frozenset(
-        j
-        for j in range(1, e + 1)
-        if not vanishes_at(x, p**j) and vanishes_at(x, p**j * q)
-    )
-
-
-def _deficit(x: MaskMultiset, partner: MaskMultiset, p: int, e: int) -> int:
-    n = x.n
-    return sum(
-        1
-        for j in range(0, e)
-        if not vanishes_at(x, p ** (j + 1)) and vanishes_at(dilate(partner, p**j), n)
-    )
+    Each is a lookup in vanishing divisors: A(zeta_{p^j}) = 0 iff p^j is one,
+    and A(zeta_N^(p^j)) = 0 iff that root's order N / p^j is one.
+    """
+    s = frozenset(j for j in range(1, e + 1) if p**j in vd)
+    r = frozenset(j for j in range(e + 1) if n // p**j in vd)
+    last = max((j for j in range(e + 1) if j not in r), default=-1)
+    # level 0 is excluded from U: there is no class structure below level 1 to
+    # feed the digit-drop count this set exists for
+    u = frozenset(j for j in range(1, e + 1) if j not in s and p**j * q in vd)
+    deficit = sum(1 for j in range(e) if j + 1 not in s and n // p**j in partner_vd)
+    return s, r, last, u, deficit
 
 
 def root_profile(pair: SpectralPair) -> RootProfile:
     """Every per-prime root diagnostic for both members of a verified pair."""
     ctx = pair.ctx
+    n = ctx.n
     p, m, q, n_exp = ctx.prime_pair()
+    va = zero_set(pair.a).vanishing_divisors
+    vb = zero_set(pair.b).vanishing_divisors
 
-    def member(x, partner):
-        r_p = _r_exponents(x, p, m)
-        r_q = _r_exponents(x, q, n_exp)
+    def member(x, vd, partner_vd):
+        s_p, r_p, m0, u_p, def_p = _prime_profile(vd, partner_vd, n, p, m, q)
+        s_q, r_q, n0, u_q, def_q = _prime_profile(vd, partner_vd, n, q, n_exp, p)
         return MemberProfile(
-            s_p=_s_exponents(x, p, m),
-            s_q=_s_exponents(x, q, n_exp),
-            r_p=r_p,
-            r_q=r_q,
-            m0=_max_surviving(r_p, m),
-            n0=_max_surviving(r_q, n_exp),
-            u_p=_u_exponents(x, p, m, q),
-            u_q=_u_exponents(x, q, n_exp, p),
-            k_p=k_set(x, p),
-            k_q=k_set(x, q),
-            def_p=_deficit(x, partner, p, m),
-            def_q=_deficit(x, partner, q, n_exp),
+            s_p=s_p, s_q=s_q, r_p=r_p, r_q=r_q, m0=m0, n0=n0, u_p=u_p, u_q=u_q,
+            k_p=k_set(x, p), k_q=k_set(x, q), def_p=def_p, def_q=def_q,
         )
 
-    return RootProfile(a=member(pair.a, pair.b), b=member(pair.b, pair.a))
+    return RootProfile(a=member(pair.a, va, vb), b=member(pair.b, vb, va))
 
 
 def check_wt1(s: MaskMultiset, p: int) -> bool:
@@ -495,7 +470,8 @@ def check_wt1(s: MaskMultiset, p: int) -> bool:
     if e == 0:
         raise DomainError(f"{p} does not divide {ctx.n}")
     size = s.mass()
-    k = len(_s_exponents(s, p, e))
+    vd = zero_set(s).vanishing_divisors
+    k = sum(p**j in vd for j in range(1, e + 1))
     return size % p**k == 0 and (size // p**k) % p != 0
 
 
@@ -511,14 +487,15 @@ def check_wt2(s: MaskMultiset, p: int, q: int) -> str:
     if {p, q} != {pp, qq}:
         raise DomainError(f"{p}, {q} are not the prime divisors of {ctx.n}")
     m = ctx.valuation(p)
-    if not vanishes_at(s, q):
+    vd = zero_set(s).vanishing_divisors
+    if q not in vd:
         return "not_applicable"
     k = 0
-    while k < m and vanishes_at(s, p ** (k + 1)):
+    while k < m and p ** (k + 1) in vd:
         k += 1
     if k == 0:
         return "not_applicable"
-    ok = all(vanishes_at(s, p**j * q) for j in range(1, k + 1))
+    ok = all(p**j * q in vd for j in range(1, k + 1))
     return "holds" if ok else "fails"
 
 
@@ -551,12 +528,13 @@ def required_roots_panel(pair: SpectralPair) -> dict:
     n = ctx.n
 
     def member(x):
+        vd = zero_set(x).vanishing_divisors
         return {
-            "zeta_N": vanishes_at(x, n),
-            "zeta_p": vanishes_at(x, p),
-            "zeta_q": vanishes_at(x, q),
-            "zeta_p_max": vanishes_at(x, p**m),
-            "zeta_q_max": vanishes_at(x, q**n_exp),
+            "zeta_N": n in vd,
+            "zeta_p": p in vd,
+            "zeta_q": q in vd,
+            "zeta_p_max": p**m in vd,
+            "zeta_q_max": q**n_exp in vd,
         }
 
     return {"a": member(pair.a), "b": member(pair.b)}

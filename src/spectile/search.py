@@ -149,7 +149,7 @@ def orbit_count(n, size=None, affine=False):
             new = poly + [0] * length
             for i, c in enumerate(poly):
                 new[i + length] += c
-            poly = new[: size + 1] + new[size + 1 :]
+            poly = new[: size + 1]
         if size < len(poly):
             acc += poly[size]
     return acc // order

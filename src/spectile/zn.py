@@ -126,15 +126,33 @@ def divisors(n: int) -> tuple:
     return tuple(sorted(ds))
 
 
+# The largest group order a set literal may name.  A literal becomes a dense
+# coefficient vector of that length, so the order is checked before anything
+# is allocated; the bound sits far above every order the searches can reach.
+# It also bounds trial division, so factorize() settles any n whose cofactor
+# after the primes below it is at most about MAX_ORDER^2.
+MAX_ORDER = 1 << 20
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple:
-    """Trial-division factorization as ((p1, e1), (p2, e2), ...), p ascending."""
+    """Trial-division factorization as ((p1, e1), (p2, e2), ...), p ascending.
+
+    Trial divisors stop at MAX_ORDER; a cofactor that still may be composite
+    past it raises DomainError rather than dividing on for minutes.
+    """
     if n < 1:
         raise DomainError(f"cannot factorize {n}")
     out = []
     m = n
     p = 2
     while p * p <= m:
+        if p > MAX_ORDER:
+            raise DomainError(
+                f"cannot factor {n}: trial division stops at {MAX_ORDER} and {m} "
+                "has no prime factor below it; give the order as p^a*q^b*... "
+                "with every prime below 2^40"
+            )
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -301,12 +319,6 @@ class MaskMultiset:
 
     def to_json(self):
         return {"n": self.n, "coeffs": list(self.coeffs)}
-
-
-# The largest group order a set literal may name.  A literal becomes a dense
-# coefficient vector of that length, so the order is checked before anything
-# is allocated; the bound sits far above every order the searches can reach.
-MAX_ORDER = 1 << 20
 
 
 def parse_multiset(text) -> MaskMultiset:

@@ -179,3 +179,22 @@ def orbit_least(n, s, affine=False):
 def affine_orbit_transversal(n, k):
     """The lex-least member of each affine orbit of k-subsets, ascending."""
     return sorted({orbit_least(n, s, affine=True) for s in combinations(range(n), k)})
+
+
+@lru_cache(maxsize=None)
+def subgroup(n, d):
+    """The subgroup dZ_n, as the set of multiples of d mod n."""
+    return frozenset((d * k) % n for k in range(n))
+
+
+def in_proper_coset(n, s):
+    """Whether the nonempty set s lies in a coset of some dZ_n with d | n, d > 1.
+
+    Checked against every such subgroup, not only the maximal ones; the coset
+    is s[0] + dZ_n, since it must contain s[0].
+    """
+    return any(
+        all((y - s[0]) % n in subgroup(n, d) for y in s)
+        for d in range(2, n + 1)
+        if n % d == 0
+    )

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -111,6 +112,21 @@ def test_exclude_bad_format(capsys):
     with pytest.raises(SystemExit) as err:
         run(capsys, "exclude", "--n", "2^^3")
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "order", ["10000000000000061", "1000000000000000003", "2^9*10000000000000061^7"]
+)
+def test_exclude_of_an_unfactorable_order_exits_2_quickly(capsys, order):
+    # each has a prime above 2^40, past where trial division stops
+    start = time.perf_counter()
+    try:
+        code = main(["exclude", "--n", order])
+    except SystemExit as exc:  # a factored order is rejected while parsing
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2 and not out.out and out.err.startswith("error: cannot factor")
+    assert time.perf_counter() - start < 2
 
 
 def test_survey_json_stream(capsys):

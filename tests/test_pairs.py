@@ -1,6 +1,8 @@
 """Pair verification, absorption, extensions, profiles, deficits, exclusion."""
 
 import random
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +28,8 @@ from spectile import (
     verify_spectral_pair,
     verify_tiling_pair,
 )
-from spectile.pairs import spectral_routes, tiling_routes
+from spectile import pairs as pairs_mod
+from spectile.pairs import MemberProfile, spectral_routes, tiling_routes
 
 import oracles
 
@@ -138,6 +141,14 @@ def test_primitivity_three_prime_order_uses_coset_route():
 
 def test_primitivity_translation_of_subgroup_detected():
     assert not is_primitive(mm(12, [1, 5, 9]))
+
+
+def test_primitivity_matches_coset_oracle():
+    cases = [(n, k) for n in range(1, 13) for k in range(1, n + 1)]
+    cases += [(n, k) for n in (30, 36) for k in range(1, 5)]  # three primes; a square
+    for n, k in cases:
+        for s in combinations(range(n), k):
+            assert is_primitive(mm(n, s)) == (not oracles.in_proper_coset(n, s)), (n, s)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +293,90 @@ def test_profile_singleton():
     assert prof.a.u_p == frozenset() and prof.a.def_p == 0 and prof.a.def_q == 0
 
 
+@lru_cache(maxsize=None)
+def _van(coeffs, d):
+    return oracles.vanishes(coeffs, d)
+
+
+@lru_cache(maxsize=None)
+def _van_root_power(coeffs, n, e):
+    return oracles.value_at_root_power(coeffs, n, e)
+
+
+def _k_set_oracle(supp, p, e):
+    # level j is absorbed when each class mod p^j meets one class mod p^(j+1)
+    return frozenset(
+        j
+        for j in range(e)
+        if all(
+            len({y % p ** (j + 1) for y in supp if y % p**j == c}) <= 1
+            for c in range(p**j)
+        )
+    )
+
+
+def _member_oracle(x, partner):
+    """x's MemberProfile from sympy remainders of the unfolded masks."""
+    n = x.n
+    (p, m), (q, ne) = x.ctx.factorization
+    xc, pc = x.coeffs, partner.coeffs
+
+    def at(p, e, q):
+        s = frozenset(j for j in range(1, e + 1) if _van(xc, p**j))
+        r = frozenset(j for j in range(e + 1) if _van_root_power(xc, n, p**j))
+        alive = [j for j in range(e + 1) if j not in r]
+        u = frozenset(
+            j for j in range(1, e + 1) if not _van(xc, p**j) and _van(xc, p**j * q)
+        )
+        deficit = sum(
+            1
+            for j in range(e)
+            if not _van(xc, p ** (j + 1)) and _van_root_power(pc, n, p**j)
+        )
+        k = _k_set_oracle(x.support(), p, e)
+        return s, r, (max(alive) if alive else -1), u, k, deficit
+
+    s_p, r_p, m0, u_p, k_p, def_p = at(p, m, q)
+    s_q, r_q, n0, u_q, k_q, def_q = at(q, ne, p)
+    return MemberProfile(
+        s_p=s_p, s_q=s_q, r_p=r_p, r_q=r_q, m0=m0, n0=n0,
+        u_p=u_p, u_q=u_q, k_p=k_p, k_q=k_q, def_p=def_p, def_q=def_q,
+    )
+
+
+def _wt2_oracle(x, p, e, q):
+    xc = x.coeffs
+    k = 0
+    while k < e and _van(xc, p ** (k + 1)):
+        k += 1
+    if not _van(xc, q) or k == 0:
+        return "not_applicable"
+    return "holds" if all(_van(xc, p**j * q) for j in range(1, k + 1)) else "fails"
+
+
+def _assert_reporters_match_oracles(sp):
+    (p, m), (q, ne) = sp.ctx.factorization
+    prof = root_profile(sp)
+    assert prof.a == _member_oracle(sp.a, sp.b)
+    assert prof.b == _member_oracle(sp.b, sp.a)
+    panel = required_roots_panel(sp)
+    for label, x in (("a", sp.a), ("b", sp.b)):
+        xc = x.coeffs
+        assert panel[label] == {
+            "zeta_N": _van(xc, x.n),
+            "zeta_p": _van(xc, p),
+            "zeta_q": _van(xc, q),
+            "zeta_p_max": _van(xc, p**m),
+            "zeta_q_max": _van(xc, q**ne),
+        }
+        for pr, e in ((p, m), (q, ne)):
+            k = sum(_van(xc, pr**j) for j in range(1, e + 1))
+            size = x.mass()
+            assert check_wt1(x, pr) == (size % pr**k == 0 and (size // pr**k) % pr != 0)
+        assert check_wt2(x, p, q) == _wt2_oracle(x, p, m, q)
+        assert check_wt2(x, q, p) == _wt2_oracle(x, q, ne, p)
+
+
 def test_profile_matches_definitional_recomputation():
     from spectile.search import canonical_sets, find_spectrum
 
@@ -323,8 +418,22 @@ def test_profile_matches_definitional_recomputation():
             and oracles.value_at_root_power(bc, n, 2**x)
         )
         assert prof.a.def_p == def_p_a
+        _assert_reporters_match_oracles(sp.pair)
         checked += 1
     assert checked >= 25  # every spectral canonical set of Z_12
+    for n in (18, 20):
+        reps = list(canonical_sets(n))
+        random.Random(f"profile:{n}").shuffle(reps)
+        sampled = 0
+        for rep in reps:
+            a = mm(n, rep)
+            out = find_spectrum(a)
+            if out.verdict == "found":
+                _assert_reporters_match_oracles(verify_spectral_pair(a, out.witness).pair)
+                sampled += 1
+                if sampled == 60:
+                    break
+        assert sampled == 60
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +473,33 @@ def test_wt2_matches_oracle_recomputation():
 def test_wt2_failure_instance():
     a = mm(36, [0, 4, 6, 7, 11, 23])
     assert check_wt2(a, 2, 3) == "fails"
+
+
+def test_weak_structure_checks_reject_the_empty_multiset():
+    empty = mm(12, [])
+    with pytest.raises(DomainError):
+        check_wt1(empty, 2)
+    with pytest.raises(DomainError):
+        check_wt2(empty, 2, 3)
+
+
+def test_reporters_read_the_stored_zero_set(monkeypatch):
+    sp = pair(12, [0, 3, 6, 9], [0, 1, 2, 3])
+
+    def recompute(*args):
+        raise AssertionError("a reporter folded and divided afresh")
+
+    monkeypatch.setattr(pairs_mod, "vanishes_at", recompute)
+    monkeypatch.setattr(pairs_mod, "dilate", recompute)
+    assert root_profile(sp).a.s_p == frozenset({1, 2})
+    symmetry_check(sp)
+    deficit_bounds_check(sp)
+    assert required_roots_panel(sp)["a"]["zeta_N"]
+    for x in (sp.a, sp.b):
+        check_wt1(x, 2)
+        check_wt1(x, 3)
+        check_wt2(x, 2, 3)
+        check_wt2(x, 3, 2)
 
 
 # ---------------------------------------------------------------------------

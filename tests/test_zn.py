@@ -377,6 +377,19 @@ def test_factored_context_rejects_repeated_prime():
         GroupContext.from_factorization([(4, 1)])
 
 
+def test_factorize_bounds_trial_division():
+    assert zn.factorize(2**100) == ((2, 100),)
+    assert zn.factorize(10**18) == ((2, 18), (5, 18))
+    big = 1099511627689  # a prime between 2^20 and 2^40
+    assert zn.factorize(big) == ((big, 1),)
+    assert zn.factorize(3 * big) == ((3, 1), (big, 1))
+    for n in (10000000000000061, 1000000000000000003, 2**9 * 10000000000000061):
+        with pytest.raises(DomainError):
+            zn.factorize(n)
+    with pytest.raises(DomainError):
+        zn.GroupContext.from_factorization([(2, 9), (10000000000000061, 7)])
+
+
 def test_trivial_group_units():
     assert group(1).units() == (0,)
 
