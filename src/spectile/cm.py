@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import DomainError, InvariantViolation, PreconditionError
@@ -26,6 +27,7 @@ from .zn import (
     cyclic_product,
     cyclotomic,
     dilate,
+    group,
     is_full_group_product,
     phi_of_power,
     restrict_class,
@@ -93,17 +95,23 @@ def check_t1t2(a: MaskMultiset) -> CmReport:
 
     T2 is checked over all products of pairwise-coprime prime powers drawn
     from S_A (one per prime, at least two primes), enumerated by increasing
-    value; the first failing product is recorded as the witness.
+    value; the first failing product is recorded as the witness.  Both
+    conditions read only the signature (N, |A|, Z(A)), so the report is
+    memoised on it; what runs per set is the properness check and Z(A).
     """
     _require_proper_nonempty(a)
-    vd = zero_set(a).vanishing_divisors
-    s_a = frozenset(s for s in a.ctx.prime_powers if s in vd)
-    t1_lhs = a.mass()
+    return _structure_report(a.n, a.mass(), zero_set(a).vanishing_divisors)
+
+
+@lru_cache(maxsize=1 << 12)
+def _structure_report(n, size, vanishing_divisors) -> CmReport:
+    ctx = group(n)
+    s_a = frozenset(s for s in ctx.prime_powers if s in vanishing_divisors)
     t1_rhs = 1
     for s in s_a:
         t1_rhs *= cyclotomic(s).at_one()
     groups = []
-    for p, e in a.ctx.factorization:
+    for p, e in ctx.factorization:
         g = [p**x for x in range(1, e + 1) if p**x in s_a]
         if g:
             groups.append(g)
@@ -114,13 +122,13 @@ def check_t1t2(a: MaskMultiset) -> CmReport:
             for picks in product(*chosen):
                 candidates.append(math.prod(picks))
     for s in sorted(candidates):
-        if s not in vd:
+        if s not in vanishing_divisors:
             t2_witness = s
             break
     return CmReport(
-        t1_holds=(t1_lhs == t1_rhs),
+        t1_holds=(size == t1_rhs),
         t2_holds=(t2_witness is None),
-        t1_lhs=t1_lhs,
+        t1_lhs=size,
         t1_rhs=t1_rhs,
         t2_witness=t2_witness,
         s_a=s_a,

@@ -30,12 +30,13 @@ import sys
 import time
 from contextlib import closing
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from multiprocessing import get_context
 
 from . import __version__, cm, pairs
 from .errors import DomainError, InvariantViolation
-from .zn import MaskMultiset, divisors, group, zero_set
+from .zn import MaskMultiset, ZeroSet, divisors, group, zero_set
 
 DEFAULT_NODE_BUDGET = 500_000
 SURVEY_SCHEMA = "spectile.survey/1"
@@ -204,19 +205,38 @@ def find_spectrum(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Search for a spectrum of A as a |A|-clique containing 0.
 
     Vertices are the residues of Z(A) plus 0; translation invariance makes
-    the restriction to cliques through 0 lossless.  Vertices are visited in
-    order of increasing degree; a branch dies as soon as the remaining
-    candidates cannot complete the clique.
+    the restriction to cliques through 0 lossless.  The search reads only
+    the signature (N, |A|, Z(A)) and the budget, so _clique_search memoises
+    it on those; the witness is still built and re-verified against A
+    itself on every call.
     """
     if a.is_empty() or not a.is_proper():
         raise DomainError("spectrum search needs a nonempty proper set")
-    n = a.n
     k = a.mass()
     if k == 1:
         return SearchOutcome("found", MaskMultiset.from_elements(a.ctx, [0]), 0, budget)
-    verts = sorted(zero_set(a).residues())
+    verdict, chosen, nodes = _clique_search(a.n, k, zero_set(a).vanishing_divisors, budget)
+    if verdict != "found":
+        return SearchOutcome(verdict, None, nodes, budget)
+    witness = MaskMultiset.from_elements(a.ctx, (0,) + chosen)
+    check = pairs.verify_spectral_pair(a, witness)
+    if not check.ok:
+        raise InvariantViolation("clique search produced a non-spectrum")
+    return SearchOutcome("found", witness, nodes, budget)
+
+
+@lru_cache(maxsize=1 << 12)
+def _clique_search(n, k, vanishing_divisors, budget):
+    """(verdict, chosen, nodes) of the k-clique search through 0 in {0} union Z(A).
+
+    Edges join x and y when x - y lies in Z(A).  Vertices are visited in
+    order of increasing degree; a branch dies as soon as the remaining
+    candidates cannot complete the clique.  `chosen` holds the clique's
+    nonzero vertices, empty unless the verdict is "found".
+    """
+    verts = sorted(ZeroSet(group(n), vanishing_divisors).residues())
     if 1 + len(verts) < k:
-        return SearchOutcome("none", None, 0, budget)
+        return "none", (), 0
     full = (1 << n) - 1
     zmask = 0
     for x in verts:
@@ -260,14 +280,10 @@ def find_spectrum(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET) -> SearchOutcome:
     try:
         found = expand(start, 1)
     except _OutOfBudget:
-        return SearchOutcome("unknown", None, nodes, budget)
+        return "unknown", (), nodes
     if not found:
-        return SearchOutcome("none", None, nodes, budget)
-    witness = MaskMultiset.from_elements(a.ctx, [0] + chosen)
-    check = pairs.verify_spectral_pair(a, witness)
-    if not check.ok:
-        raise InvariantViolation("clique search produced a non-spectrum")
-    return SearchOutcome("found", witness, nodes, budget)
+        return "none", (), nodes
+    return "found", tuple(chosen), nodes
 
 
 def _tiling_backtrack(a: MaskMultiset, budget, want_all):
@@ -600,6 +616,10 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
     sink = record_sink if records is None else records.append
 
     done = 0
+    # a sampled size yields at most per_size_limit orbits
+    limit = opts.per_size_limit
+    planned = sum(total if limit is None else min(total, limit) for total in totals.values())
+    replayed = orbits = sum(agg["surveyed"] for agg in manifest.values())
     with closing(_task_results(pending, opts.threads)) as results:
         for tid in range(len(tasks)):
             if tid not in manifest:
@@ -607,8 +627,12 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
                 if cursor is not None:
                     _save_task(cursor, n, fingerprint, manifest, tid, recs)
                 done += 1
+                orbits += manifest[tid]["surveyed"]
                 if opts.progress:
-                    print(f"[survey n={n}] {done}/{len(pending)} tasks",
+                    rate = (orbits - replayed) / max(time.time() - t0, 1e-9)
+                    eta = f"{max(planned - orbits, 0) / rate:.0f} s" if rate else "?"
+                    print(f"[survey n={n}] {done}/{len(pending)} tasks, "
+                          f"{orbits}/{planned} orbits, {rate:.0f} orbits/s, ETA {eta}",
                           flush=True, file=sys.stderr)
             elif sink is not None:
                 with open(_spool_path(cursor, tid), encoding="utf-8") as fh:

@@ -6,15 +6,23 @@ the vector doubles as the mask polynomial of A taken mod X^N - 1.  Everything
 downstream (vanishing tests, tiling products, spectra) reduces to integer
 polynomial arithmetic on these vectors.  There is no floating point anywhere
 in this module: a value A(zeta_d) is declared zero exactly when the d-th
-cyclotomic polynomial divides the mask polynomial folded mod X^d - 1.
+cyclotomic polynomial Phi_d divides the mask polynomial.
 
 Conventions:
   * polynomials are dense lists of Python ints, ascending degree;
-  * divisibility by Phi_d is decided by exact Euclidean division (Phi_d is
-    monic, so the division stays in Z[X]);
   * the zero set Z(A) = {x : A(zeta_N^-x) = 0} is stored as the set of
     divisors d > 1 of N with Phi_d | A, since vanishing only depends on the
     order N/gcd(x, N) of the root.
+
+Two independent algorithms decide Phi_d | A:
+  * zero_set() uses the cofactor Psi_d = (X^d - 1)/Phi_d.  With F the fold of
+    A mod X^d - 1, Phi_d | A exactly when X^d - 1 divides F * Psi_d, i.e.
+    when F * Psi_d folds to zero mod X^d - 1.  F and the two nonnegative
+    parts of Psi_d are packed into lanes of big integers, so each divisor
+    costs two integer products, one mask and one shift per product;
+  * vanishes_at() folds A mod X^d - 1 and divides by Phi_d (monic, so the
+    Euclidean division stays in Z[X]).  It never reads the stored zero set,
+    so the self-checks that call it confirm zero_set() by another route.
 """
 
 from __future__ import annotations
@@ -247,6 +255,16 @@ def _order_table(n):
 # multisets / mask polynomials
 
 
+def _dense_context(ctx_or_n) -> GroupContext:
+    # a multiset is a dense vector of ctx.n slots; refuse huge orders up front
+    ctx = ctx_or_n if isinstance(ctx_or_n, GroupContext) else group(ctx_or_n)
+    if ctx.n > MAX_ORDER:
+        raise DomainError(
+            f"group order {ctx.n} exceeds {MAX_ORDER}: a multiset takes one slot per element"
+        )
+    return ctx
+
+
 @dataclass(frozen=True)
 class MaskMultiset:
     """A multiset over Z_N, i.e. the coefficient vector of its mask polynomial."""
@@ -259,12 +277,12 @@ class MaskMultiset:
             raise DomainError(
                 f"coefficient vector has length {len(self.coeffs)}, group order is {self.ctx.n}"
             )
-        if any(c < 0 for c in self.coeffs):
+        if min(self.coeffs, default=0) < 0:
             raise DomainError("multiset multiplicities must be nonnegative")
 
     @staticmethod
     def from_elements(ctx_or_n, elements) -> "MaskMultiset":
-        ctx = ctx_or_n if isinstance(ctx_or_n, GroupContext) else group(ctx_or_n)
+        ctx = _dense_context(ctx_or_n)
         coeffs = [0] * ctx.n
         for a in elements:
             coeffs[a % ctx.n] += 1
@@ -272,7 +290,7 @@ class MaskMultiset:
 
     @staticmethod
     def from_coeffs(ctx_or_n, coeffs) -> "MaskMultiset":
-        ctx = ctx_or_n if isinstance(ctx_or_n, GroupContext) else group(ctx_or_n)
+        ctx = _dense_context(ctx_or_n)
         return MaskMultiset(ctx, tuple(int(c) for c in coeffs))
 
     @property
@@ -286,11 +304,12 @@ class MaskMultiset:
     def support(self):
         return tuple(a for a, c in enumerate(self.coeffs) if c)
 
+    # the multiplicities are nonnegative ints, so the builtins decide these
     def is_proper(self):
-        return all(c in (0, 1) for c in self.coeffs)
+        return max(self.coeffs, default=0) <= 1
 
     def is_empty(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def mask(self):
         """Support as a bitmask integer (bit a set iff a in supp A)."""
@@ -388,7 +407,7 @@ def parse_multiset(text) -> MaskMultiset:
 
 
 # ---------------------------------------------------------------------------
-# the vanishing kernel: does Phi_d divide A?
+# the vanishing kernels: does Phi_d divide A?
 
 
 @lru_cache(maxsize=1 << 17)
@@ -404,9 +423,10 @@ def vanishes_at(a: MaskMultiset, d: int) -> bool:
     """Whether A(zeta_d) = 0, for d | N, decided by exact division.
 
     The mask polynomial is folded mod X^d - 1 (legitimate since d | N) and the
-    fold is tested for divisibility by Phi_d.  This always computes afresh and
-    never reads the zero set stored by zero_set(), so the two stay independent
-    routes to the same fact.
+    fold is divided by Phi_d.  This is the independent route: zero_set()
+    decides the same fact through the cofactor product, and this function
+    never reads the zero set stored on A.  Its divisions are memoised per
+    (d, fold) in a bounded cache that only this function fills.
     """
     n = a.n
     if d < 1 or n % d != 0:
@@ -436,24 +456,55 @@ class ZeroSet:
         )
 
 
+@lru_cache(maxsize=None)
+def _cofactor(d: int) -> tuple:
+    """Psi_d = (X^d - 1) / Phi_d, ascending; the division must be exact."""
+    quo, rem = poly_divmod([-1] + [0] * (d - 1) + [1], cyclotomic(d).coeffs)
+    if rem:
+        raise InvariantViolation(f"Phi_{d} does not divide X^{d} - 1")
+    return tuple(quo)
+
+
+@lru_cache(maxsize=1 << 10)
+def _packed_cofactor(d: int, mass_bits: int) -> tuple:
+    """(P, Q, w) with Psi_d = P - Q, P and Q nonnegative and packed in w-bit lanes.
+
+    A lane of F * P or F * Q, for F a fold of mass below 2^mass_bits, is at
+    most mass * ||Psi_d||_1 < 2^w, so no lane carries into the next.
+    """
+    psi = _cofactor(d)
+    w = mass_bits + sum(map(abs, psi)).bit_length()
+    pos = sum(c << (w * i) for i, c in enumerate(psi) if c > 0)
+    neg = sum(-c << (w * i) for i, c in enumerate(psi) if c < 0)
+    return pos, neg, w
+
+
 def zero_set(a: MaskMultiset) -> ZeroSet:
     """All divisors d > 1 of N with Phi_d | A (equivalently A(zeta_d) = 0).
 
-    This is the one place Z(A) is computed.  The result is stored on the
-    multiset itself, which is frozen, so it can never go stale; every later
-    call on the same instance returns the same ZeroSet object.
+    This is the one place Z(A) is computed.  Per divisor d, A is packed into
+    lanes as its fold F mod X^d - 1, and Phi_d | A exactly when F * P and
+    F * Q, folded once mod X^d - 1, agree lane by lane (Psi_d = P - Q; see
+    the module docstring).  The result is stored on the multiset itself,
+    which is frozen, so it can never go stale; every later call on the same
+    instance returns the same ZeroSet object.
     """
     za = a.__dict__.get("_zero_set")
     if za is None:
         if a.is_empty():
             raise DomainError("zero set of the empty multiset is undefined")
-        c = a.coeffs
-        vd = frozenset(
-            d
-            for d in a.ctx.divisors
-            if d > 1 and _cyclo_divides(d, poly_mod_xn_minus_1(c, d))
-        )
-        za = ZeroSet(a.ctx, vd)
+        terms = [(x, c) for x, c in enumerate(a.coeffs) if c]
+        mass_bits = a.mass().bit_length()
+        vd = []
+        for d in a.ctx.divisors[1:]:
+            pos, neg, w = _packed_cofactor(d, mass_bits)
+            f = sum([c << (w * (x % d)) for x, c in terms])
+            span = w * d
+            low = (1 << span) - 1
+            fp, fn = f * pos, f * neg
+            if (fp & low) + (fp >> span) == (fn & low) + (fn >> span):
+                vd.append(d)
+        za = ZeroSet(a.ctx, frozenset(vd))
         object.__setattr__(a, "_zero_set", za)
     return za
 

@@ -1,14 +1,20 @@
 """Canonical enumeration, witness searches, and the survey machinery."""
 
+import hashlib
 import json
+import re
 from itertools import combinations
 
 import pytest
 
 from spectile import (
+    InvariantViolation,
     MaskMultiset,
     SurveyOptions,
+    ZeroSet,
     canonical_sets,
+    check_t1t2,
+    dilate,
     enumerate_tiling_complements,
     find_spectrum,
     find_tiling_complement,
@@ -18,7 +24,7 @@ from spectile import (
     verify_spectral_pair,
     verify_tiling_pair,
 )
-from spectile import search, zn
+from spectile import cm, pairs, search, zn
 from spectile.search import affine_canonical_form, translation_canonical_form
 
 import oracles
@@ -459,3 +465,98 @@ def test_planning_draws_no_samples(monkeypatch):
     tasks, totals = search._plan_tasks(32, SurveyOptions(per_size_limit=400))
     assert totals == {k: orbit_count(32, k) for k in range(1, 33)}
     assert [t for t in tasks if t[0] == "sample"]
+
+
+# ---------------------------------------------------------------------------
+# searches memoised on the signature (N, |A|, Z(A))
+
+
+def _clear_signature_memos():
+    search._clique_search.cache_clear()
+    cm._structure_report.cache_clear()
+
+
+@pytest.mark.parametrize("n", [12, 18])
+def test_signature_memos_match_cold_searches(n):
+    reps = list(canonical_sets(n))
+    cold = []
+    for rep in reps:
+        _clear_signature_memos()
+        spectral = find_spectrum(mm(n, rep))
+        _clear_signature_memos()
+        cold.append((spectral, check_t1t2(mm(n, rep))))
+    _clear_signature_memos()
+    warm = [(find_spectrum(mm(n, rep)), check_t1t2(mm(n, rep))) for rep in reps]
+    assert warm == cold
+    assert search._clique_search.cache_info().hits > 0
+    assert cm._structure_report.cache_info().hits > 0
+    assert search._clique_search.cache_info().maxsize is not None
+    assert cm._structure_report.cache_info().maxsize is not None
+
+
+def test_memoised_spectrum_is_reverified_for_each_set(monkeypatch):
+    verified = []
+    real = pairs.verify_spectral_pair
+
+    def counting(a, b):
+        verified.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(pairs, "verify_spectral_pair", counting)
+    _clear_signature_memos()
+    a = mm(12, [0, 1, 6, 7])
+    same_signature = [a, a.translate(5), dilate(a, 5)]
+    outcomes = [find_spectrum(x) for x in same_signature]
+    assert {o.verdict for o in outcomes} == {"found"}
+    assert [x for x, _ in verified] == same_signature
+    info = search._clique_search.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # a memoised clique that is no spectrum of the set at hand is caught
+    liar = mm(12, [0, 1, 2, 3])
+    object.__setattr__(liar, "_zero_set", ZeroSet(liar.ctx, zn.zero_set(a).vanishing_divisors))
+    with pytest.raises(InvariantViolation):
+        find_spectrum(liar)
+
+
+PROGRESS = re.compile(
+    r"\[survey n=(\d+)\] (\d+)/(\d+) tasks, (\d+)/(\d+) orbits, "
+    r"(\d+) orbits/s, ETA (\d+ s|\?)"
+)
+
+
+@pytest.mark.parametrize("limit", [None, 3])
+def test_survey_progress_reports_orbits_rate_and_eta(capsys, limit):
+    opts = SurveyOptions(threads=1, progress=True, per_size_limit=limit, collect_records=False)
+    summary = fuglede_survey(group(10), opts).summary
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = [PROGRESS.fullmatch(line) for line in err.splitlines()]
+    assert lines and all(lines)
+    done = [int(m.group(4)) for m in lines]
+    assert done == sorted(done)
+    planned = sum(min(slot["total"], limit or slot["total"])
+                  for slot in summary["per_size"].values())
+    last = lines[-1]
+    assert last.group(2) == last.group(3)
+    assert int(last.group(4)) == summary["orbits_surveyed"]
+    assert {int(m.group(5)) for m in lines} == {planned}
+    assert last.group(7) == "0 s"
+
+
+# sha256 of every record and the summary without elapsed_s, one canonical JSON
+# line each, for N = 1..14; computed before the signature memos and the packed
+# vanishing kernel existed
+SURVEY_DIGESTS = {
+    False: "975d741211990d203ee60d1f2898f95a07e9c2e52b6d71c31b678904fed3b64d",
+    True: "0b437a2008e77bc4ad6ec10809109b39d699e5dcf95d1f865eb30fbcccc26bd4",
+}
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_survey_outputs_match_golden_digest(affine):
+    h = hashlib.sha256()
+    for n in range(1, 15):
+        result = fuglede_survey(group(n), SurveyOptions(affine=affine))
+        for obj in result.records + [_without_elapsed(result.summary)]:
+            h.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    assert h.hexdigest() == SURVEY_DIGESTS[affine]

@@ -443,3 +443,104 @@ def test_vanishes_at_ignores_the_stored_zero_set():
     assert vanishes_at(a, 2) and vanishes_at(a, 12)
     with pytest.raises(InvariantViolation):
         verify_spectral_pair(a, MaskMultiset.from_elements(12, [0, 1, 6, 7]))
+
+
+# ---------------------------------------------------------------------------
+# the packed cofactor kernel behind zero_set
+
+# every order the query benchmark names
+QUERY_ORDERS = (72, 96, 100, 108, 144, 162, 192, 200, 216, 288, 324, 392, 400,
+                432, 500, 576, 648, 675, 800, 864, 972, 1000, 180, 360, 420)
+
+
+def test_zero_set_matches_division_on_every_subset_up_to_14():
+    for n in range(1, 15):
+        ds = [d for d in divisors(n) if d > 1]
+        for bits in range(1, 1 << n):
+            a = MaskMultiset.from_elements(n, [i for i in range(n) if bits >> i & 1])
+            assert zero_set(a).vanishing_divisors == {d for d in ds if vanishes_at(a, d)}
+
+
+def _weighted_cosets(rng, n):
+    # a weighted union of subgroup cosets vanishes at many divisors but rarely
+    # at all of them; weights up to 10^6 push the lane width across several
+    # byte boundaries
+    coeffs = [0] * n
+    for _ in range(rng.randint(1, 4)):
+        m = rng.choice(divisors(n)[1:])
+        base = rng.randrange(n)
+        weight = rng.choice([1, 2, rng.randint(1, 10**6)])
+        for j in range(m):
+            coeffs[(base + j * (n // m)) % n] += weight
+    if rng.random() < 0.3:
+        coeffs[rng.randrange(n)] += rng.randint(1, 10**6)
+    return coeffs
+
+
+def test_zero_set_matches_sympy_on_heavy_multisets_at_large_orders():
+    rng = random.Random(72_1000)
+    seen = set()
+    for n in (72, 96, 100, 108, 144, 162, 180, 200, 216, 500):
+        for _ in range(2):
+            coeffs = _weighted_cosets(rng, n)
+            vd = zero_set(MaskMultiset.from_coeffs(n, coeffs)).vanishing_divisors
+            assert vd == oracles.zero_divisors(coeffs, n)
+            seen.add((bool(vd), sum(coeffs).bit_length() // 8))
+    # at N = 1000 sympy reduces the fold mod X^d - 1, which Phi_d divides
+    # (the full-length remainders take seconds per divisor)
+    for _ in range(3):
+        coeffs = _weighted_cosets(rng, 1000)
+        vd = zero_set(MaskMultiset.from_coeffs(1000, coeffs)).vanishing_divisors
+        assert vd == {d for d in divisors(1000)[1:]
+                      if oracles.vanishes(zn.poly_mod_xn_minus_1(coeffs, d), d)}
+    assert {v for v, _ in seen} == {False, True}
+    assert len({b for _, b in seen}) >= 3
+
+
+def test_cofactor_times_cyclotomic_is_xn_minus_1():
+    for d in {d for n in QUERY_ORDERS for d in divisors(n)[1:]}:
+        psi = zn._cofactor(d)
+        x_d_minus_1 = [-1] + [0] * (d - 1) + [1]
+        assert poly_mul(list(psi), list(cyclotomic(d).coeffs)) == x_d_minus_1
+        for mass_bits in (1, 8, 21):
+            pos, neg, w = zn._packed_cofactor(d, mass_bits)
+            # a lane of F * P or F * Q stays below 2^w for any mass < 2^mass_bits
+            assert (1 << w) > ((1 << mass_bits) - 1) * sum(map(abs, psi))
+            lanes = [(pos >> (w * i) & ((1 << w) - 1)) - (neg >> (w * i) & ((1 << w) - 1))
+                     for i in range(len(psi))]
+            assert lanes == list(psi) and pos >> (w * len(psi)) == neg >> (w * len(psi)) == 0
+
+
+def test_zero_set_neither_folds_nor_divides(monkeypatch):
+    # zero_set and vanishes_at are two algorithms, so each can check the other
+    def forbidden(*args):
+        raise AssertionError("division route reached")
+
+    monkeypatch.setattr(zn, "_cyclo_divides", forbidden)
+    monkeypatch.setattr(zn, "poly_mod_xn_minus_1", forbidden)
+    a = mm(12, [0, 1, 6, 7])
+    assert zero_set(a).vanishing_divisors == {2, 4, 12}
+    with pytest.raises(AssertionError, match="division route"):
+        vanishes_at(a, 2)
+    assert zn._packed_cofactor.cache_info().maxsize is not None
+
+
+def test_multiset_predicates():
+    assert mm(6, [0, 3]).is_proper() and not mm(6, [0, 3]).is_empty()
+    assert not MaskMultiset.from_coeffs(3, [0, 2, 0]).is_proper()
+    assert MaskMultiset.from_coeffs(3, [0, 0, 0]).is_empty()
+    assert MaskMultiset.from_coeffs(3, [0, 0, 0]).is_proper()
+    with pytest.raises(DomainError):
+        MaskMultiset.from_coeffs(3, [0, -1, 2])
+
+
+def test_multiset_constructors_refuse_orders_past_max_order():
+    # group() stays unbounded for the exclusion predicate; a dense multiset
+    # of that order would allocate one slot per element
+    huge = group(1 << 40)
+    assert huge.n == 1 << 40
+    for make in (lambda: MaskMultiset.from_elements(huge, [0]),
+                 lambda: MaskMultiset.from_elements(1 << 40, [0]),
+                 lambda: MaskMultiset.from_coeffs(huge, [])):
+        with pytest.raises(DomainError, match="exceeds"):
+            make()
