@@ -165,7 +165,7 @@ def build_tiling_complement_cm(a: MaskMultiset) -> MaskMultiset:
         t = cyclic_product(t, phi_of_power(s, n_s, ctx))
     if not t.is_proper():
         raise InvariantViolation("constructed complement is not a proper set")
-    if a.mass() * t.mass() != n or not is_full_group_product(a, t):
+    if not is_full_group_product(a, t):
         raise InvariantViolation("constructed complement fails the product identity")
     return t
 
@@ -225,7 +225,7 @@ def tiling_implies_spectral(a: MaskMultiset, t: MaskMultiset):
         )
     _require_proper_nonempty(a)
     _require_proper_nonempty(t)
-    if a.mass() * t.mass() != ctx.n or not is_full_group_product(a, t):
+    if not is_full_group_product(a, t):
         raise PreconditionError("input is not a tiling pair")
     p1 = repeated[0] if repeated else None
     m_div = a.mass()
@@ -288,7 +288,7 @@ def nopq_complement(a: MaskMultiset, b: MaskMultiset) -> MaskMultiset:
             comp = cyclic_product(comp, phi_of_power(p**r, 1, ctx))
     if not comp.is_proper():
         raise InvariantViolation("complement construction produced a non-proper set")
-    if size * comp.mass() != n or not is_full_group_product(a, comp):
+    if not is_full_group_product(a, comp):
         raise InvariantViolation("complement construction fails the product identity")
     return comp
 

@@ -572,6 +572,10 @@ def exclusion_predicate(ctx: GroupContext) -> ExclusionVerdict:
     3 <= def_q <= n - 4, the window for p needs 2L <= def_p <= m - 2 - 2L with
     L the ceiling of log_p q, and the p-window alone forces m >= 4L + 2, hence
     q^4 < p^{m-2}.  EXCLUDED means every spectral set of this order tiles.
+
+    Each reason is tagged with its provenance: "[paper]" for the clauses the
+    paper's abstract states (an exponent <= 6, or p^{m-2} < q^4) and
+    "[derived]" for 7 <= m <= 9, which this code derives from m >= 4L + 2.
     """
     p, m, q, n_exp = ctx.prime_pair()
     if p > q:
@@ -594,19 +598,17 @@ def exclusion_predicate(ctx: GroupContext) -> ExclusionVerdict:
         "n_required": 7,
     }
     reasons = []
-    if m <= 9:
+    if m <= 6:
+        reasons.append(f"[paper] smaller-prime exponent m={m} <= 6")
+    elif m <= 9:
         reasons.append(
-            f"smaller-prime exponent m={m} <= 9; the deficit window "
+            f"[derived] smaller-prime exponent m={m} <= 9; the deficit window "
             f"needs m >= {4 * L + 2}"
         )
     if n_exp <= 6:
-        reasons.append(
-            f"larger-prime exponent n={n_exp} <= 6; the deficit window needs n >= 7"
-        )
+        reasons.append(f"[paper] larger-prime exponent n={n_exp} <= 6")
     if p ** (m - 2) < q**4:
-        reasons.append(
-            f"{p}^{m - 2} < {q}^4; the deficit window forces q^4 < p^(m-2)"
-        )
+        reasons.append(f"[paper] {p}^{m - 2} < {q}^4")
     if reasons:
         return ExclusionVerdict("EXCLUDED", tuple(reasons), bounds)
     return ExclusionVerdict("OPEN", ("no clause applies; shape not excluded",), bounds)

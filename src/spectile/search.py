@@ -23,7 +23,6 @@ Sets are bitmasks in the hot paths; all arithmetic stays exact.
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import sys
@@ -36,7 +35,7 @@ from multiprocessing import get_context
 
 from . import __version__, cm, pairs
 from .errors import DomainError, InvariantViolation
-from .zn import MaskMultiset, ZeroSet, divisors, group, zero_set
+from .zn import MaskMultiset, ZeroSet, group, zero_set
 
 DEFAULT_NODE_BUDGET = 500_000
 SURVEY_SCHEMA = "spectile.survey/1"
@@ -125,35 +124,31 @@ def _canonical_of_size(n, k, affine, first=None):
 
 def orbit_count(n, size=None, affine=False):
     """Number of orbits of nonempty subsets (or of size-k subsets) by Burnside."""
-    if not affine:
-        # phi(n/g) rotations of Z_n split it into g cycles; phi counts units
-        if size is None:
-            total = sum(len(group(n // g).units()) * (2**g) for g in divisors(n))
-            return total // n - 1  # drop the empty set's orbit
-        acc = 0
-        for g in divisors(n):
-            if (size * g) % n == 0:
-                acc += len(group(n // g).units()) * math.comb(g, size * g // n)
-        return acc // n
-    perms = []
-    for u in group(n).units():
-        for v in range(n):
-            perms.append(_cycle_lengths(n, u, v))
-    order = len(perms)
+    poly = _orbit_polynomial(n, affine)
     if size is None:
-        total = sum(2 ** len(cl) for cl in perms)
-        return total // order - 1
-    acc = 0
-    for cl in perms:
-        poly = [1]
-        for length in cl:
-            new = poly + [0] * length
-            for i, c in enumerate(poly):
-                new[i + length] += c
-            poly = new[: size + 1]
-        if size < len(poly):
-            acc += poly[size]
-    return acc // order
+        return sum(poly) - 1  # drop the empty set's orbit
+    return poly[size] if 0 <= size <= n else 0
+
+
+@lru_cache(maxsize=1 << 6)
+def _orbit_polynomial(n, affine):
+    """Coefficient k is the number of orbits of k-subsets of Z_n.
+
+    The maps are x -> u*x + v with u = 1 (translations) or u a unit (affine).
+    A map fixes exactly the unions of its cycles, counted by the product over
+    its cycles of (1 + X^len); Burnside averages that product over the maps.
+    """
+    units = group(n).units() if affine else (1,)
+    acc = [0] * (n + 1)
+    for u in units:
+        for v in range(n):
+            poly = [1] + [0] * n
+            for length in _cycle_lengths(n, u, v):
+                for i in range(n - length, -1, -1):  # times (1 + X^length)
+                    poly[i + length] += poly[i]
+            for k, c in enumerate(poly):
+                acc[k] += c
+    return tuple(c // (len(units) * n) for c in acc)
 
 
 def _cycle_lengths(n, u, v):
@@ -370,7 +365,6 @@ class SurveyOptions:
     per_size_limit: int | None = None
     seed: int = 0
     threads: int = 1
-    dual_certify: bool = True
     collect_records: bool = True
     max_n: int = 40
     cursor_dir: str | None = None
@@ -387,7 +381,6 @@ class SurveyOptions:
                 "node_budget": self.node_budget,
                 "per_size_limit": self.per_size_limit,
                 "seed": self.seed,
-                "dual_certify": self.dual_certify,
             },
             sort_keys=True,
         )
@@ -407,7 +400,7 @@ def _shape_forces_structure(ctx):
     return sum(1 for _, e in ctx.factorization if e > 1) <= 1
 
 
-def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET, dual_certify=True):
+def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
     """Full classification of one canonical set; returns a JSON-able record."""
     ctx = group(n)
     a = MaskMultiset.from_elements(ctx, rep)
@@ -433,8 +426,7 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET, dual_certify=True):
             "nodes": 0,
         }
         record["tile"] = {"verdict": "found", "witness": sorted(t.support()), "nodes": 0}
-        if dual_certify:
-            record["dual_spectrum"] = _dual_certified_spectrum(a, t)
+        record["dual_spectrum"] = _dual_certified_spectrum(a, t)
         return record
     spectral = find_spectrum(a, node_budget)
     tile = find_tiling_complement(a, node_budget)
@@ -444,7 +436,7 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET, dual_certify=True):
         )
     record["spectral"] = spectral.to_json()
     record["tile"] = tile.to_json()
-    if tile.verdict == "found" and dual_certify:
+    if tile.verdict == "found":
         record["dual_spectrum"] = _dual_certified_spectrum(a, tile.witness)
     if spectral.verdict == "found" and tile.verdict == "none":
         record["f_member"] = True
@@ -537,7 +529,7 @@ def _run_task(args):
         "nonprimitive_spectral_cm": [],
     }
     for rep in reps:
-        rec = classify_set(rep, n, opts.node_budget, opts.dual_certify)
+        rec = classify_set(rep, n, opts.node_budget)
         structured = rec["cm"]["t1"] and rec["cm"]["t2"]
         agg["surveyed"] += 1
         agg["cm_pass"] += structured
@@ -558,7 +550,7 @@ def _run_task(args):
 def _task_results(pending, threads):
     """(tallies, records) of each pending task, in the order given."""
     if threads > 1 and len(pending) > 1:
-        with get_context("fork").Pool(threads) as pool:
+        with get_context("fork").Pool(min(threads, len(pending))) as pool:
             yield from pool.imap(_run_task, pending, chunksize=1)
     else:
         yield from map(_run_task, pending)

@@ -123,15 +123,9 @@ def cyclotomic(d: int) -> CycloPoly:
     return CycloPoly(d, tuple(num))
 
 
-@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple:
     """All divisors of n, ascending."""
-    if n < 1:
-        raise DomainError(f"divisors of {n} undefined")
-    ds = [1]
-    for p, e in factorize(n):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return tuple(sorted(ds))
+    return group(n).divisors
 
 
 # The largest group order a set literal may name.  A literal becomes a dense
@@ -564,41 +558,30 @@ def phi_of_power(s: int, t: int, ctx: GroupContext) -> MaskMultiset:
 
 
 def cyclic_product(a: MaskMultiset, b: MaskMultiset) -> MaskMultiset:
-    """A(X)B(X) mod X^N - 1 as a multiset (convolution over Z_N)."""
+    """A(X)B(X) mod X^N - 1 as a multiset (convolution over Z_N).
+
+    Loops over the nonzero terms of both operands, so it costs
+    O(N + |supp A| * |supp B|) and is exact for any multiplicities.
+    """
     if a.ctx.n != b.ctx.n:
         raise DomainError("operands live in different groups")
     n = a.n
     out = [0] * n
+    b_terms = [(j, cj) for j, cj in enumerate(b.coeffs) if cj]
     for i, ci in enumerate(a.coeffs):
         if ci:
-            for j, cj in enumerate(b.coeffs):
-                if cj:
-                    out[(i + j) % n] += ci * cj
+            for j, cj in b_terms:
+                out[(i + j) % n] += ci * cj
     return MaskMultiset(a.ctx, tuple(out))
 
 
 def is_full_group_product(a: MaskMultiset, b: MaskMultiset) -> bool:
     """Exact test A(X)B(X) = 1 + X + ... + X^{N-1} mod X^N - 1.
 
-    Implemented on packed integers: coefficients are carried in 16-bit lanes
-    of one big int, so the whole convolution is a single integer multiply.
-    Exact as long as every product coefficient stays below 2^16, which holds
-    for all desk-scale masses.
+    The product's coefficients sum to |A| * |B|, so that mass must be N;
+    then |supp A| * |supp B| <= N and the product costs O(N).
     """
     if a.ctx.n != b.ctx.n:
         raise DomainError("operands live in different groups")
     n = a.n
-    width = 16
-    bound = 1 << width
-    ma = sum(c for c in a.coeffs)
-    mb = sum(c for c in b.coeffs)
-    if ma * mb >= bound:  # lane overflow impossible at desk scale, fall back
-        prod = cyclic_product(a, b)
-        return all(c == 1 for c in prod.coeffs)
-    pa = sum(c << (width * i) for i, c in enumerate(a.coeffs))
-    pb = sum(c << (width * i) for i, c in enumerate(b.coeffs))
-    raw = pa * pb
-    lanes_mask = (1 << (width * n)) - 1
-    folded = (raw & lanes_mask) + (raw >> (width * n))
-    ones = sum(1 << (width * i) for i in range(n))
-    return folded == ones
+    return a.mass() * b.mass() == n and cyclic_product(a, b).coeffs == (1,) * n

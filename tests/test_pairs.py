@@ -607,3 +607,16 @@ def test_scale_requires_verified_pair():
     fake = SpectralPair(mm(6, [0, 3]), mm(6, [0, 3]), verified=False)
     with pytest.raises(PreconditionError):
         scale_spectrum(fake, 1)
+
+
+def test_exclusion_reasons_name_their_provenance():
+    def reasons(fact):
+        return exclusion_predicate(GroupContext.from_factorization(fact)).reasons
+
+    # 7 <= m <= 9 is derived from the deficit window, not stated in the paper
+    only = reasons([(2, 9), (3, 100)])
+    assert len(only) == 1 and only[0].startswith("[derived] ")
+    for fact in ([(2, 100), (3, 6)], [(2, 5), (3, 7)]):
+        got = reasons(fact)
+        assert got and all(r.startswith("[paper] ") for r in got)
+    assert len(reasons([(2, 5), (3, 7)])) == 2  # m <= 6 and 2^3 < 3^4

@@ -560,3 +560,76 @@ def test_survey_outputs_match_golden_digest(affine):
         for obj in result.records + [_without_elapsed(result.summary)]:
             h.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
     assert h.hexdigest() == SURVEY_DIGESTS[affine]
+
+
+# ---------------------------------------------------------------------------
+# one Burnside count
+
+
+def test_orbit_count_matches_translation_oracle_up_to_40():
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            assert orbit_count(n, k) == oracles.orbit_count_translation(n, k)
+        assert orbit_count(n) == oracles.orbit_count_translation(n)
+
+
+def test_orbit_totals_match_published_figures():
+    affine = {24: 94_483, 27: 277_533, 28: 815_557, 30: 4_500_266, 32: 8_466_188}
+    for n, total in affine.items():
+        assert orbit_count(n, affine=True) == total
+    assert orbit_count(28) == 9_587_579
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_orbit_counts_per_size_sum_to_the_total(affine):
+    for n in range(1, 25):
+        per_size = [orbit_count(n, k, affine) for k in range(1, n + 1)]
+        assert sum(per_size) == orbit_count(n, affine=affine)
+        assert orbit_count(n, n + 1, affine) == 0
+
+
+# ---------------------------------------------------------------------------
+# the worker pool
+
+
+class _InProcessPools:
+    """A stand-in for a multiprocessing context that records pool sizes."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, workers", [(500, 16), (2, 2)])
+def test_worker_pool_is_capped_at_the_pending_tasks(monkeypatch, threads, workers):
+    pools = _InProcessPools()
+    monkeypatch.setattr(search, "get_context", lambda method: pools)
+    tasks, _ = search._plan_tasks(6, SurveyOptions())
+    assert len(tasks) == 16
+    opts = SurveyOptions(threads=threads, collect_records=True)
+    got = fuglede_survey(group(6), opts)
+    assert pools.sizes == [workers]
+    want = fuglede_survey(group(6), SurveyOptions(threads=1, collect_records=True))
+    assert got.records == want.records
+    assert _without_elapsed(got.summary) == _without_elapsed(want.summary)
+
+
+def test_every_tile_is_dual_certified():
+    # dual certification always runs; it is no longer an option
+    assert not hasattr(SurveyOptions(), "dual_certify")
+    assert "dual_certify" not in json.loads(SurveyOptions().fingerprint())
+    for rep in ((0, 1, 6, 7), (0, 2, 4)):
+        rec = search.classify_set(rep, 12)
+        assert rec["tile"]["verdict"] == "found" and rec["dual_spectrum"] is not None

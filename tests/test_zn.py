@@ -27,7 +27,7 @@ from spectile import (
     zero_set,
     ZeroSet,
 )
-from spectile import zn
+from spectile import cm, zn
 from spectile.zn import poly_divmod, poly_mul, poly_trim
 
 import oracles
@@ -544,3 +544,97 @@ def test_multiset_constructors_refuse_orders_past_max_order():
                  lambda: MaskMultiset.from_coeffs(huge, [])):
         with pytest.raises(DomainError, match="exceeds"):
             make()
+
+
+# ---------------------------------------------------------------------------
+# the one cyclic product
+
+
+def _folded_convolution(a, b):
+    # the reference: full-length product, then one fold mod X^N - 1
+    return zn.poly_mod_xn_minus_1(poly_mul(list(a.coeffs), list(b.coeffs)), a.n)
+
+
+@st.composite
+def operand_pairs(draw):
+    n = draw(st.integers(1, 60))
+    weights = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10**6))
+    a, b = (draw(st.lists(weights, min_size=n, max_size=n)) for _ in range(2))
+    return MaskMultiset.from_coeffs(n, a), MaskMultiset.from_coeffs(n, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs())
+@example((MaskMultiset.from_coeffs(5, [0] * 5), MaskMultiset.from_coeffs(5, [1, 2, 0, 0, 7])))
+@example((MaskMultiset.from_coeffs(6, [300, 0, 0, 0, 0, 0]),) * 2)
+def test_cyclic_product_matches_folded_convolution(pair):
+    a, b = pair
+    assert cyclic_product(a, b).coeffs == _folded_convolution(a, b)
+
+
+def test_cyclic_product_matches_folded_convolution_up_to_1000():
+    rng = random.Random(1000)
+    heavy = empty = 0
+    for n in (1, 2, 7, 72, 144, 360, 500, 1000):
+        for _ in range(4):
+            operands = []
+            for _ in range(2):
+                coeffs = [0] * n
+                for _ in range(rng.choice([0, 1, 5, 40])):
+                    coeffs[rng.randrange(n)] += rng.choice([1, rng.randint(1, 10**6)])
+                operands.append(MaskMultiset.from_coeffs(n, coeffs))
+            a, b = operands
+            heavy += a.mass() * b.mass() >= 1 << 16
+            empty += a.is_empty() or b.is_empty()
+            assert cyclic_product(a, b).coeffs == _folded_convolution(a, b)
+    assert heavy and empty
+
+
+def _digit_tile(rng, n):
+    # A takes the digits of a random set of prime levels of n, at most two
+    # distinct primes among them, so A satisfies T1/T2; then a unit and a shift
+    fact = [p for p, e in group(n).factorization for _ in range(e)]
+    rng.shuffle(fact)
+    while True:
+        chosen = [i for i in range(len(fact)) if rng.random() < 0.5]
+        if 0 < len(chosen) < len(fact) and len({fact[i] for i in chosen}) <= 2:
+            break
+    a, step = [0], 1
+    for i, p in enumerate(fact):
+        if i in chosen:
+            a = [x + d * step for x in a for d in range(p)]
+        step *= p
+    u = rng.choice(group(n).units())
+    shift = rng.randrange(n)
+    return MaskMultiset.from_elements(n, [u * x + shift for x in a])
+
+
+def _moved(rng, s):
+    # s with one element moved to a residue outside it
+    supp = list(s.support())
+    free = [x for x in range(s.n) if x not in supp]
+    supp[rng.randrange(len(supp))] = rng.choice(free)
+    return MaskMultiset.from_elements(s.n, supp)
+
+
+def test_full_group_product_matches_tiling_oracle_on_cm_pairs():
+    rng = random.Random(72)
+    misses = 0
+    for n in QUERY_ORDERS:
+        for _ in range(2):
+            a = _digit_tile(rng, n)
+            t = cm.build_tiling_complement_cm(a)
+            assert is_full_group_product(a, t)
+            assert oracles.is_tiling(n, a.support(), t.support())
+            for x, y in ((a, _moved(rng, t)), (_moved(rng, a), t)):
+                got = is_full_group_product(x, y)
+                assert got == oracles.is_tiling(n, x.support(), y.support())
+                misses += not got
+    assert misses
+
+
+def test_divisor_list_is_the_group_context_list():
+    for n in (1, 12, 1000, 1 << 40):
+        assert divisors(n) is group(n).divisors
+    with pytest.raises(DomainError):
+        divisors(0)
