@@ -74,7 +74,7 @@ def _cmd_analyze(args):
     out = {
         "schema": "spectile.analyze/1",
         "n": a.n,
-        "set": sorted(a.support()) if a.is_proper() else list(a.coeffs),
+        "set": list(a.support()),
         "size": a.mass(),
         "zero_divisors": sorted(za.vanishing_divisors),
         "zero_residues": sorted(za.residues()),

@@ -24,12 +24,11 @@ from itertools import combinations, product
 from .errors import DomainError, InvariantViolation, PreconditionError
 from .zn import (
     MaskMultiset,
-    cyclic_product,
     cyclotomic,
     dilate,
     group,
     is_full_group_product,
-    phi_of_power,
+    phi_product,
     restrict_class,
     vanishes_at,
     zero_set,
@@ -135,13 +134,6 @@ def _structure_report(n, size, vanishing_divisors) -> CmReport:
     )
 
 
-def _prime_power_factor(s, ctx):
-    for p, _ in ctx.factorization:
-        if s % p == 0:
-            return p
-    raise DomainError(f"{s} has no prime factor in the group")
-
-
 def build_tiling_complement_cm(a: MaskMultiset) -> MaskMultiset:
     """Explicit tiling complement T(X) = prod over missing prime powers s of Phi_s(X^{N_s}).
 
@@ -154,15 +146,9 @@ def build_tiling_complement_cm(a: MaskMultiset) -> MaskMultiset:
         raise PreconditionError(f"set fails T1/T2: {report.to_json()}")
     ctx = a.ctx
     n = ctx.n
-    t = MaskMultiset.from_elements(ctx, [0])
-    for s in ctx.prime_powers:
-        if s in report.s_a:
-            continue
-        p = _prime_power_factor(s, ctx)
-        n_s = n
-        while n_s % p == 0:
-            n_s //= p
-        t = cyclic_product(t, phi_of_power(s, n_s, ctx))
+    missing = [(p**x, n // p**e) for p, e in ctx.factorization
+               for x in range(1, e + 1) if p**x not in report.s_a]
+    t = phi_product(MaskMultiset.from_elements(ctx, [0]), missing)
     if not t.is_proper():
         raise InvariantViolation("constructed complement is not a proper set")
     if not is_full_group_product(a, t):
@@ -171,7 +157,7 @@ def build_tiling_complement_cm(a: MaskMultiset) -> MaskMultiset:
 
 
 def build_laba_spectrum(a: MaskMultiset) -> MaskMultiset:
-    """The explicit spectrum: all sums over s in S_A of k_s * N/s, 0 <= k_s < p_s.
+    """The explicit spectrum: all sums over s = p^x in S_A of k_s * N/s, 0 <= k_s < p.
 
     Distinct digit choices give distinct residues, so |B| equals the T1
     product; the spectrum property (all nonzero differences of B lie in the
@@ -182,11 +168,11 @@ def build_laba_spectrum(a: MaskMultiset) -> MaskMultiset:
         raise PreconditionError(f"set fails T1/T2: {report.to_json()}")
     ctx = a.ctx
     n = ctx.n
-    s_list = sorted(report.s_a)
-    ranges = [range(_prime_power_factor(s, ctx)) for s in s_list]
+    digits = [(p, n // p**x) for p, e in ctx.factorization
+              for x in range(1, e + 1) if p**x in report.s_a]
     elems = set()
-    for picks in product(*ranges):
-        elems.add(sum(k * (n // s) for k, s in zip(picks, s_list)) % n)
+    for picks in product(*(range(p) for p, _ in digits)):
+        elems.add(sum(k * step for k, (_, step) in zip(picks, digits)) % n)
     if len(elems) != report.t1_rhs or len(elems) != a.mass():
         raise InvariantViolation("spectrum construction lost elements")
     b = MaskMultiset.from_elements(ctx, sorted(elems))
@@ -276,16 +262,10 @@ def nopq_complement(a: MaskMultiset, b: MaskMultiset) -> MaskMultiset:
         raise PreconditionError(f"pq = {p * q} divides |A| = {size}")
     n = ctx.n
     vd = zero_set(a).vanishing_divisors
-    r_set = set()
-    for r in range(1, m + 1):
-        for k in range(0, n_exp + 1):
-            if p**r * q**k in vd:
-                r_set.add(r)
-                break
+    unreached = [(p**r, 1) for r in range(1, m + 1)
+                 if not any(p**r * q**k in vd for k in range(n_exp + 1))]
     comp = MaskMultiset.from_elements(ctx, [(p**m) * s % n for s in range(q**n_exp)])
-    for r in range(1, m + 1):
-        if r not in r_set:
-            comp = cyclic_product(comp, phi_of_power(p**r, 1, ctx))
+    comp = phi_product(comp, unreached)
     if not comp.is_proper():
         raise InvariantViolation("complement construction produced a non-proper set")
     if not is_full_group_product(a, comp):

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DomainError, InvariantViolation, PreconditionError
-from .zn import MaskMultiset, dilate, restrict_class, vanishes_at
+from .zn import MaskMultiset, dilate, phi_product, restrict_class, vanishes_at
 
 
 @dataclass(frozen=True)
@@ -31,21 +32,11 @@ class CycleDecomposition:
         return {"p_part": list(self.p_part.coeffs), "q_part": list(self.q_part.coeffs)}
 
     def recompose(self) -> MaskMultiset:
-        """Expand the cycle parts back into the original multiset."""
-        ctx = self.p_part.ctx
-        n = ctx.n
-        out = [0] * n
-        for base, mult in enumerate(self.p_part.coeffs):
-            if mult:
-                step = n // self.prime_p
-                for i in range(self.prime_p):
-                    out[(base + i * step) % n] += mult
-        for base, mult in enumerate(self.q_part.coeffs):
-            if mult:
-                step = n // self.prime_q
-                for i in range(self.prime_q):
-                    out[(base + i * step) % n] += mult
-        return MaskMultiset(ctx, tuple(out))
+        """Expand the cycle parts: P(X) Phi_p(X^{N/p}) + Q(X) Phi_q(X^{N/q})."""
+        n = self.p_part.n
+        p = phi_product(self.p_part, [(self.prime_p, n // self.prime_p)])
+        q = phi_product(self.q_part, [(self.prime_q, n // self.prime_q)])
+        return MaskMultiset(p.ctx, tuple(map(add, p.coeffs, q.coeffs)))
 
 
 def lam_leung_decompose(a: MaskMultiset) -> CycleDecomposition:

@@ -34,11 +34,10 @@ from .errors import DomainError, InvariantViolation, PreconditionError
 from .zn import (
     GroupContext,
     MaskMultiset,
-    cyclic_product,
     difference_set,
     dilate,
     is_full_group_product,
-    phi_of_power,
+    phi_product,
     restrict_class,
     vanishes_at,
     zero_set,
@@ -326,8 +325,8 @@ def extend_pair(pair: SpectralPair, p: int, k: int) -> SpectralPair:
     if k not in k_set(pair.b, p):
         raise PreconditionError(f"level {k} is not fully absorbed in the spectrum")
     other = ctx.n // p**m
-    new_a = cyclic_product(pair.a, phi_of_power(p ** (m - k), other, ctx))
-    new_b = cyclic_product(pair.b, phi_of_power(p ** (k + 1), other, ctx))
+    new_a = phi_product(pair.a, [(p ** (m - k), other)])
+    new_b = phi_product(pair.b, [(p ** (k + 1), other)])
     if not new_a.is_proper() or not new_b.is_proper():
         raise InvariantViolation("extension is not a direct sum")
     if new_a.mass() != pair.a.mass() * p or new_b.mass() != pair.b.mass() * p:
@@ -363,17 +362,12 @@ def absorption_free_closure(pair: SpectralPair) -> SpectralPair:
         member, prime, ks = pending
         mv = ctx.valuation(prime)
         other = ctx.n // prime**mv
-        grow_set = MaskMultiset.from_elements(ctx, [0])
-        grow_spec = MaskMultiset.from_elements(ctx, [0])
-        for k in sorted(ks):
-            grow_set = cyclic_product(grow_set, phi_of_power(prime ** (mv - k), other, ctx))
-            grow_spec = cyclic_product(grow_spec, phi_of_power(prime ** (k + 1), other, ctx))
-        if member == "b":
-            new_a = cyclic_product(cur.a, grow_set)
-            new_b = cyclic_product(cur.b, grow_spec)
-        else:
-            new_a = cyclic_product(cur.a, grow_spec)
-            new_b = cyclic_product(cur.b, grow_set)
+        grow_set = [(prime ** (mv - k), other) for k in sorted(ks)]
+        grow_spec = [(prime ** (k + 1), other) for k in sorted(ks)]
+        if member == "a":
+            grow_set, grow_spec = grow_spec, grow_set
+        new_a = phi_product(cur.a, grow_set)
+        new_b = phi_product(cur.b, grow_spec)
         if not new_a.is_proper() or not new_b.is_proper():
             raise InvariantViolation("closure step is not a direct sum")
         res = verify_spectral_pair(new_a, new_b)

@@ -376,7 +376,7 @@ class SurveyOptions:
             {
                 "schema": SURVEY_SCHEMA,
                 "version": __version__,
-                "sizes": sorted(self.sizes) if self.sizes else None,
+                "sizes": sorted(set(self.sizes)) if self.sizes else None,
                 "affine": self.affine,
                 "node_budget": self.node_budget,
                 "per_size_limit": self.per_size_limit,
@@ -419,14 +419,11 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
     }
     if cm_report.ok:
         t = cm.build_tiling_complement_cm(a)
-        b = cm.build_laba_spectrum(a)
-        record["spectral"] = {
-            "verdict": "found",
-            "witness": sorted(b.support()),
-            "nodes": 0,
-        }
+        # either route of the dual certificate returns build_laba_spectrum(a),
+        # which is also the spectral witness
+        record["dual_spectrum"] = dual = _dual_certified_spectrum(a, t)
+        record["spectral"] = {"verdict": "found", "witness": list(dual["spectrum"]), "nodes": 0}
         record["tile"] = {"verdict": "found", "witness": sorted(t.support()), "nodes": 0}
-        record["dual_spectrum"] = _dual_certified_spectrum(a, t)
         return record
     spectral = find_spectrum(a, node_budget)
     tile = find_tiling_complement(a, node_budget)
@@ -494,7 +491,7 @@ def _sample_reps(n, k, limit, seed, affine):
 
 def _plan_tasks(n, opts: SurveyOptions):
     """The survey's tasks in record order, and each planned size's orbit total (by Burnside)."""
-    sizes = sorted(opts.sizes) if opts.sizes else list(range(1, n + 1))
+    sizes = sorted(set(opts.sizes)) if opts.sizes else range(1, n + 1)
     tasks = []
     totals = {}
     for k in sizes:

@@ -31,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .errors import DomainError, InvariantViolation, ParseError
 
@@ -549,10 +550,12 @@ def phi_of_power(s: int, t: int, ctx: GroupContext) -> MaskMultiset:
     """Mask multiset of Phi_s(X^t) mod X^N - 1; raises if a coefficient is negative."""
     n = ctx.n
     out = [0] * n
-    for i, c in enumerate(cyclotomic(s).coeffs):
+    coeffs = cyclotomic(s).coeffs
+    for i, c in enumerate(coeffs):
         if c:
             out[(i * t) % n] += c
-    if any(c < 0 for c in out):
+    # the fold can leave a negative coefficient only if Phi_s has one
+    if min(coeffs) < 0 and min(out) < 0:
         raise InvariantViolation(f"Phi_{s}(X^{t}) not nonnegative mod X^{n}-1")
     return MaskMultiset(ctx, tuple(out))
 
@@ -567,12 +570,19 @@ def cyclic_product(a: MaskMultiset, b: MaskMultiset) -> MaskMultiset:
         raise DomainError("operands live in different groups")
     n = a.n
     out = [0] * n
-    b_terms = [(j, cj) for j, cj in enumerate(b.coeffs) if cj]
-    for i, ci in enumerate(a.coeffs):
-        if ci:
-            for j, cj in b_terms:
-                out[(i + j) % n] += ci * cj
+    b_terms = [(j, b.coeffs[j]) for j in compress(range(n), b.coeffs)]
+    for i in compress(range(n), a.coeffs):
+        ci = a.coeffs[i]
+        for j, cj in b_terms:
+            out[(i + j) % n] += ci * cj
     return MaskMultiset(a.ctx, tuple(out))
+
+
+def phi_product(base: MaskMultiset, factors) -> MaskMultiset:
+    """base(X) * prod of Phi_s(X^t) over the (s, t) pairs in factors, mod X^N - 1."""
+    for s, t in factors:
+        base = cyclic_product(base, phi_of_power(s, t, base.ctx))
+    return base
 
 
 def is_full_group_product(a: MaskMultiset, b: MaskMultiset) -> bool:

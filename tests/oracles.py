@@ -198,3 +198,30 @@ def in_proper_coset(n, s):
         for d in range(2, n + 1)
         if n % d == 0
     )
+
+
+def recompose_cycles(n, p_part, q_part, p, q):
+    """The multiset P(X) Phi_p(X^{n/p}) + Q(X) Phi_q(X^{n/q}) by hand: each base
+    x of a part spreads its multiplicity over the cycle x + k n/r, k < r."""
+    out = [0] * n
+    for prime, part in ((p, p_part), (q, q_part)):
+        step = n // prime
+        for base, mult in enumerate(part):
+            if mult:
+                for i in range(prime):
+                    out[(base + i * step) % n] += mult
+    return tuple(out)
+
+
+def phi_power_product(base, n, factors):
+    """base(X) * prod Phi_s(X^t) mod X^n - 1 over the (s, t) pairs, with sympy's
+    Phi_s and a plain convolution per factor."""
+    out = list(base)
+    for s, t in factors:
+        phi = [int(c) for c in reversed(cyclo_poly(s).all_coeffs())]
+        nxt = [0] * n
+        for i, a in enumerate(out):
+            for j, c in enumerate(phi):
+                nxt[(i + j * t) % n] += a * c
+        out = nxt
+    return tuple(out)

@@ -42,6 +42,11 @@ def test_analyze_rejects_bad_literal(capsys):
     assert err.value.code == 2
 
 
+def test_analyze_of_a_multiset_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "analyze", "--json", "6:{0,1*2}")
+    assert (code, out, err) == (2, "", "error: operation requires a proper set\n")
+
+
 def test_verify_exit_codes(capsys):
     assert run(capsys, "verify", "--spectral", "12:{0,1,6,7}", "12:{0,1,6,7}")[0] == 0
     assert run(capsys, "verify", "--spectral", "4:{0,1}", "4:{0,1}")[0] == 1

@@ -1,5 +1,7 @@
 """Structure conditions, explicit complements and spectra, special-case routes."""
 
+from itertools import product
+
 import pytest
 
 from spectile import (
@@ -16,8 +18,9 @@ from spectile import (
     tiling_implies_spectral,
     verify_spectral_pair,
     verify_tiling_pair,
+    zero_set,
 )
-from spectile.search import canonical_sets
+from spectile.search import canonical_sets, find_spectrum
 
 import oracles
 
@@ -300,3 +303,81 @@ def test_reduction_prime_power_order():
     report, b = tiling_implies_spectral(mm(8, [0, 4]), mm(8, [0, 1, 2, 3]))
     assert report.ok
     assert oracles.is_spectral(8, (0, 4), b.support())
+
+
+# ---------------------------------------------------------------------------
+# the Phi-product constructions against their hand-written references
+
+
+def _prime_of(s, ctx):
+    return next(p for p in ctx.primes if s % p == 0)
+
+
+def _cm_complement_reference(a, s_a):
+    # Phi_s(X^{N_s}) for each missing prime power s, N_s found by stripping
+    # the prime of s from N
+    ctx, n = a.ctx, a.n
+    factors = []
+    for s in ctx.prime_powers:
+        if s in s_a:
+            continue
+        n_s = n
+        while n_s % _prime_of(s, ctx) == 0:
+            n_s //= _prime_of(s, ctx)
+        factors.append((s, n_s))
+    return oracles.phi_power_product((1,) + (0,) * (n - 1), n, factors)
+
+
+def _laba_spectrum_reference(a, s_a):
+    # every digit sum over s in S_A of k_s * N/s, 0 <= k_s < p_s
+    n = a.n
+    s_list = sorted(s_a)
+    digits = product(*(range(_prime_of(s, a.ctx)) for s in s_list))
+    return sorted({sum(k * (n // s) for k, s in zip(ks, s_list)) % n for ks in digits})
+
+
+def _nopq_reference(a):
+    # the levels r with no Phi_{p^r q^k} | A, over the sum of X^{p^m s}
+    ctx, n = a.ctx, a.n
+    p, m, q, n_exp = ctx.prime_pair()
+    if a.mass() % q == 0:
+        p, m, q, n_exp = q, n_exp, p, m
+    vd = zero_set(a).vanishing_divisors
+    r_set = set()
+    for r in range(1, m + 1):
+        for k in range(0, n_exp + 1):
+            if p**r * q**k in vd:
+                r_set.add(r)
+                break
+    base = [0] * n
+    for s in range(q**n_exp):
+        base[(p**m) * s % n] += 1
+    factors = [(p**r, 1) for r in range(1, m + 1) if r not in r_set]
+    return oracles.phi_power_product(base, n, factors)
+
+
+@pytest.mark.parametrize("n, structured, nopq", [(12, 29, 20), (18, 95, 50)])
+def test_constructions_match_hand_written_references(n, structured, nopq):
+    # every canonical set of Z_N where a construction applies: the CM
+    # complement and the Laba spectrum for T1/T2 sets, and the nopq complement
+    # for spectral sets whose size misses one of the two primes
+    p, _m, q, _n = group(n).prime_pair()
+    seen = {"structured": 0, "nopq": 0}
+    for rep in canonical_sets(n):
+        a = mm(n, rep)
+        report = check_t1t2(a)
+        if report.ok:
+            seen["structured"] += 1
+            t = build_tiling_complement_cm(a)
+            assert t.coeffs == _cm_complement_reference(a, report.s_a)
+            b = build_laba_spectrum(a)
+            assert list(b.support()) == _laba_spectrum_reference(a, report.s_a)
+        else:
+            found = find_spectrum(a)
+            if found.verdict != "found":
+                continue
+            b = found.witness
+        if a.mass() % (p * q):
+            seen["nopq"] += 1
+            assert nopq_complement(a, b).coeffs == _nopq_reference(a)
+    assert seen == {"structured": structured, "nopq": nopq}

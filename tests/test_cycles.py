@@ -5,8 +5,11 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectile import (
+    CycleDecomposition,
     DomainError,
     MaskMultiset,
     PreconditionError,
@@ -159,6 +162,58 @@ def test_nonzero_part_clause():
                 seen += 1
                 assert not part.is_empty()
     assert seen > 50
+
+
+# ---------------------------------------------------------------------------
+# recomposition against the hand-written cycle expansion
+
+TWO_PRIME_ORDERS = (6, 10, 12, 15, 18, 20, 24, 36, 45, 72, 100)
+
+
+@st.composite
+def decompositions(draw):
+    n = draw(st.sampled_from(TWO_PRIME_ORDERS))
+    p, _m, q, _n = group(n).prime_pair()
+    weights = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 2000))
+    p_part, q_part = (draw(st.lists(weights, min_size=n, max_size=n)) for _ in range(2))
+    return CycleDecomposition(coeffs(n, p_part), coeffs(n, q_part), p, q)
+
+
+def _expanded(dec):
+    return oracles.recompose_cycles(
+        dec.p_part.n, dec.p_part.coeffs, dec.q_part.coeffs, dec.prime_p, dec.prime_q
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(decompositions())
+@example(CycleDecomposition(coeffs(6, [0] * 6), coeffs(6, [2000, 0, 0, 0, 0, 0]), 2, 3))
+@example(CycleDecomposition(coeffs(6, [0] * 6), coeffs(6, [0] * 6), 2, 3))
+def test_recompose_matches_hand_written_expansion(dec):
+    assert dec.recompose().coeffs == _expanded(dec)
+
+
+# the orders of the query benchmark's cycle unions
+QUERY_TWO_PRIME_ORDERS = (72, 96, 100, 108, 144, 162, 192, 200, 216, 288, 324,
+                          392, 400, 432, 500, 576, 648, 675, 800, 864, 972, 1000)
+
+
+def test_recompose_matches_hand_written_expansion_on_query_cycle_unions():
+    # one to six p-cycles and one to six q-cycles at random bases, as the
+    # query benchmark's decompose calls draw them
+    rng = random.Random(1000)
+    for n in QUERY_TWO_PRIME_ORDERS:
+        p, _m, q, _n = group(n).prime_pair()
+        for _ in range(3):
+            vec = [0] * n
+            for prime in (p, q):
+                for _ in range(rng.randint(1, 6)):
+                    base = rng.randrange(n)
+                    for j in range(prime):
+                        vec[(base + j * n // prime) % n] += 1
+            a = coeffs(n, vec)
+            dec = lam_leung_decompose(a)
+            assert dec.recompose().coeffs == _expanded(dec) == a.coeffs
 
 
 # ---------------------------------------------------------------------------

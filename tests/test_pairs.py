@@ -265,6 +265,77 @@ def test_closure_identity_on_absorption_free_pair():
         assert closed.a.coeffs == p.a.coeffs and closed.b.coeffs == p.b.coeffs
 
 
+def _extension_reference(pair, p, k):
+    # A times Phi_{p^{m-k}}(X^{N/p^m}) and B times Phi_{p^{k+1}}(X^{N/p^m})
+    ctx, n = pair.ctx, pair.ctx.n
+    m = ctx.valuation(p)
+    other = n // p**m
+    return (
+        oracles.phi_power_product(pair.a.coeffs, n, [(p ** (m - k), other)]),
+        oracles.phi_power_product(pair.b.coeffs, n, [(p ** (k + 1), other)]),
+    )
+
+
+def _closure_reference(pair):
+    # two running products per round, then the member that carried the
+    # absorption decides which side takes which
+    ctx, n = pair.ctx, pair.ctx.n
+    p, m, q, n_exp = ctx.prime_pair()
+    a, b = pair.a.coeffs, pair.b.coeffs
+    for _ in range(m + n_exp + 1):
+        for member, prime in (("b", p), ("b", q), ("a", p), ("a", q)):
+            ks = k_set(MaskMultiset(ctx, b if member == "b" else a), prime)
+            if ks:
+                break
+        else:
+            return a, b
+        mv = ctx.valuation(prime)
+        other = n // prime**mv
+        unit = (1,) + (0,) * (n - 1)
+        grow_set = grow_spec = unit
+        for k in sorted(ks):
+            grow_set = oracles.phi_power_product(grow_set, n, [(prime ** (mv - k), other)])
+            grow_spec = oracles.phi_power_product(grow_spec, n, [(prime ** (k + 1), other)])
+        if member == "b":
+            a, b = _cyclic_times(a, grow_set), _cyclic_times(b, grow_spec)
+        else:
+            a, b = _cyclic_times(a, grow_spec), _cyclic_times(b, grow_set)
+    raise AssertionError("reference closure exceeded its round cap")
+
+
+def _cyclic_times(x, y):
+    n = len(x)
+    out = [0] * n
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[(i + j) % n] += xi * yj
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n, spectral, extensions, grown", [(12, 29, 32, 27), (18, 95, 103, 93)])
+def test_extension_and_closure_match_hand_written_references(n, spectral, extensions, grown):
+    # every spectral canonical set of Z_N, paired with its found spectrum
+    from spectile.search import canonical_sets, find_spectrum
+
+    seen = {"spectral": 0, "extensions": 0, "grown": 0}
+    for rep in canonical_sets(n):
+        a = mm(n, rep)
+        found = find_spectrum(a)
+        if found.verdict != "found":
+            continue
+        sp = verify_spectral_pair(a, found.witness).pair
+        seen["spectral"] += 1
+        for prime in sp.ctx.primes:
+            for k in sorted(k_set(sp.b, prime)):
+                ext = extend_pair(sp, prime, k)
+                assert (ext.a.coeffs, ext.b.coeffs) == _extension_reference(sp, prime, k)
+                seen["extensions"] += 1
+        closed = absorption_free_closure(sp)
+        assert (closed.a.coeffs, closed.b.coeffs) == _closure_reference(sp)
+        seen["grown"] += closed.a.mass() > a.mass()
+    assert seen == {"spectral": spectral, "extensions": extensions, "grown": grown}
+
+
 # ---------------------------------------------------------------------------
 # root profiles
 

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from spectile import (
+    DomainError,
     InvariantViolation,
     MaskMultiset,
     SurveyOptions,
@@ -143,6 +144,15 @@ def test_budget_exhaustion_is_reported():
     assert out.verdict == "unknown" and out.nodes > 3
 
 
+@pytest.mark.parametrize("search_fn", [find_spectrum, find_tiling_complement,
+                                       enumerate_tiling_complements])
+@pytest.mark.parametrize("a", [MaskMultiset.from_coeffs(6, [0] * 6),
+                               MaskMultiset.from_coeffs(6, [1, 2, 0, 0, 0, 0])])
+def test_searches_refuse_an_empty_set_or_a_multiplicity(search_fn, a):
+    with pytest.raises(DomainError, match="nonempty proper set"):
+        search_fn(a)
+
+
 # ---------------------------------------------------------------------------
 # survey
 
@@ -217,6 +227,18 @@ def test_survey_size_filter():
     s = res.summary
     assert set(s["per_size"]) == {"4"}
     assert s["orbits_surveyed"] == orbit_count(12, 4)
+
+
+def test_survey_plans_a_repeated_size_once():
+    once = fuglede_survey(group(8), SurveyOptions(sizes=(3,), collect_records=True))
+    twice = fuglede_survey(group(8), SurveyOptions(sizes=(3, 3), collect_records=True))
+    assert twice.records == once.records
+    assert _without_elapsed(twice.summary) == _without_elapsed(once.summary)
+    assert twice.summary["orbits_surveyed"] == twice.summary["orbits_total"] == 7
+    assert twice.summary["complete"] is True
+    # a size list without repeats keeps its fingerprint, so old cursors resume
+    assert SurveyOptions(sizes=(3, 3)).fingerprint() == SurveyOptions(sizes=(3,)).fingerprint()
+    assert json.loads(SurveyOptions(sizes=(5, 3)).fingerprint())["sizes"] == [3, 5]
 
 
 def test_survey_sampled_mode_is_seed_deterministic():
@@ -338,6 +360,27 @@ def test_classify_set_computes_the_zero_set_once(monkeypatch, rep, passes):
     assert (rec["cm"]["t1"] and rec["cm"]["t2"]) == passes
     assert len(made) == 1
     assert rec["vanishing_divisors"] == sorted(made[0][1])
+
+
+@pytest.mark.parametrize("n, rep", [(12, (0, 1, 6, 7)), (36, (0, 1, 18, 19))])
+def test_classify_set_builds_the_laba_spectrum_once(monkeypatch, n, rep):
+    # Z_12 certifies by the dilation reduction, Z_36 (two repeated primes)
+    # through the structure conditions; both return the Laba spectrum
+    built = []
+    real = cm.build_laba_spectrum
+
+    def counting(a):
+        built.append(a)
+        return real(a)
+
+    monkeypatch.setattr(cm, "build_laba_spectrum", counting)
+    rec = search.classify_set(rep, n)
+    assert rec["cm"]["t1"] and rec["cm"]["t2"]
+    assert len(built) == 1
+    want = sorted(real(built[0]).support())
+    assert rec["spectral"]["witness"] == rec["dual_spectrum"]["spectrum"] == want
+    route = "dilation_reduction" if n == 12 else "structure_conditions"
+    assert rec["dual_spectrum"]["route"] == route
 
 
 @pytest.mark.parametrize("affine", [False, True])

@@ -28,7 +28,7 @@ from spectile import (
     ZeroSet,
 )
 from spectile import cm, zn
-from spectile.zn import poly_divmod, poly_mul, poly_trim
+from spectile.zn import phi_product, poly_divmod, poly_mul, poly_trim
 
 import oracles
 
@@ -253,7 +253,7 @@ def test_fold_agrees_with_big_ring_division(a):
 
 @settings(max_examples=40, deadline=None)
 @given(multisets(max_mass=6), multisets(max_mass=6))
-def test_packed_product_matches_convolution(a, b):
+def test_full_group_product_is_an_all_ones_cyclic_product(a, b):
     if a.n != b.n:
         return
     prod = cyclic_product(a, b)
@@ -394,9 +394,9 @@ def test_trivial_group_units():
     assert group(1).units() == (0,)
 
 
-def test_packed_product_fallback_for_heavy_masses():
-    # masses large enough to overflow a 16-bit lane force the plain
-    # convolution path; the verdict must not change
+def test_full_group_product_rejects_heavy_masses_and_accepts_the_unit():
+    # a product of mass 90,000 over Z_6 fails at once; the all-ones set
+    # times the unit {0} is the whole group
     a = MaskMultiset.from_coeffs(6, [300, 0, 0, 0, 0, 0])
     b = MaskMultiset.from_coeffs(6, [300, 0, 0, 0, 0, 0])
     assert not is_full_group_product(a, b)
@@ -588,6 +588,57 @@ def test_cyclic_product_matches_folded_convolution_up_to_1000():
             empty += a.is_empty() or b.is_empty()
             assert cyclic_product(a, b).coeffs == _folded_convolution(a, b)
     assert heavy and empty
+
+
+# ---------------------------------------------------------------------------
+# the one Phi-product builder
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+
+
+@st.composite
+def phi_products(draw):
+    n = draw(st.integers(1, 60))
+    weights = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10**6))
+    base = draw(st.lists(weights, min_size=n, max_size=n))
+    factors = draw(st.lists(
+        st.tuples(st.sampled_from(PRIME_POWERS), st.integers(1, 2 * n)), max_size=4
+    ))
+    return MaskMultiset.from_coeffs(n, base), factors
+
+
+def _folded_phi_product(base, factors):
+    # the reference: multiply by each full-length Phi_s(X^t), taken from
+    # sympy, with poly_mul, and fold mod X^N - 1 after every factor
+    out = list(base.coeffs)
+    for s, t in factors:
+        phi = oracles.cyclo_poly(s).all_coeffs()[::-1]
+        spread = [0] * ((len(phi) - 1) * t + 1)
+        for i, c in enumerate(phi):
+            spread[i * t] = int(c)
+        out = list(zn.poly_mod_xn_minus_1(poly_mul(out, spread), base.n))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi_products())
+@example((MaskMultiset.from_coeffs(12, [1] + [0] * 11), [(4, 3), (3, 4)]))
+@example((MaskMultiset.from_coeffs(6, [300] * 6), []))
+# Phi_6 and Phi_10 have negative coefficients, which the fold cancels here
+@example((MaskMultiset.from_coeffs(12, [0, 2] + [0] * 10), [(6, 12), (10, 12), (3, 4)]))
+def test_phi_product_matches_folded_poly_mul(case):
+    base, factors = case
+    got = phi_product(base, factors)
+    assert got.coeffs == _folded_phi_product(base, factors)
+    assert got.coeffs == oracles.phi_power_product(base.coeffs, base.n, factors)
+
+
+@pytest.mark.parametrize("n, s, t", [(12, 6, 1), (6, 6, 1), (12, 1, 1), (12, 10, 1)])
+def test_phi_product_refuses_a_factor_with_a_negative_coefficient(n, s, t):
+    # Phi_s(X^t) mod X^N - 1 keeps a negative coefficient here, so it is no multiset
+    unit = MaskMultiset.from_elements(n, [0])
+    with pytest.raises(InvariantViolation, match="not nonnegative"):
+        phi_product(unit, [(s, t)])
 
 
 def _digit_tile(rng, n):
