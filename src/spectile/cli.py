@@ -155,17 +155,9 @@ def _cmd_profile(args):
         out.update(check.to_json())
         _emit(out, args.json, [f"not a spectral pair: {check.reason} {check.witness}"])
         return EXIT_FAIL
-    pair = check.pair
-    out = {
-        "schema": "spectile.profile/1",
-        "ok": True,
-        "profile": pairs.root_profile(pair).to_json(),
-        "symmetry": pairs.symmetry_check(pair),
-        "deficits": pairs.deficit_bounds_check(pair),
-        "roots_panel": pairs.required_roots_panel(pair),
-        "primitive_a": pairs.is_primitive(a),
-        "primitive_b": pairs.is_primitive(b),
-    }
+    a.ctx.prime_pair()  # root profiles need a two-prime order: DomainError, exit 2
+    out = {"schema": "spectile.profile/1", "ok": True}
+    out.update(pairs.diagnostics_panel(check.pair))
     human = [
         "verified spectral pair",
         f"member A: {out['profile']['a']}",

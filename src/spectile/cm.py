@@ -24,7 +24,6 @@ from itertools import combinations, product
 from .errors import DomainError, InvariantViolation, PreconditionError
 from .zn import (
     MaskMultiset,
-    cyclotomic,
     dilate,
     group,
     is_full_group_product,
@@ -106,12 +105,12 @@ def check_t1t2(a: MaskMultiset) -> CmReport:
 def _structure_report(n, size, vanishing_divisors) -> CmReport:
     ctx = group(n)
     s_a = frozenset(s for s in ctx.prime_powers if s in vanishing_divisors)
+    # Phi_{p^x}(1) = p, so each p-power in S_A puts one p into the T1 product
     t1_rhs = 1
-    for s in s_a:
-        t1_rhs *= cyclotomic(s).at_one()
     groups = []
     for p, e in ctx.factorization:
         g = [p**x for x in range(1, e + 1) if p**x in s_a]
+        t1_rhs *= p ** len(g)
         if g:
             groups.append(g)
     t2_witness = None

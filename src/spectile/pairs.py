@@ -534,6 +534,17 @@ def required_roots_panel(pair: SpectralPair) -> dict:
     return {"a": member(pair.a), "b": member(pair.b)}
 
 
+def diagnostics_panel(pair: SpectralPair) -> dict:
+    """Primitivity of both members and, at two-prime orders, every root report."""
+    out = {"primitive_a": is_primitive(pair.a), "primitive_b": is_primitive(pair.b)}
+    if len(pair.ctx.factorization) == 2:
+        out["profile"] = root_profile(pair).to_json()
+        out["symmetry"] = symmetry_check(pair)
+        out["deficits"] = deficit_bounds_check(pair)
+        out["roots_panel"] = required_roots_panel(pair)
+    return out
+
+
 def _ceil_log(p: int, q: int) -> int:
     """Smallest L >= 0 with p^L >= q, computed exactly."""
     L = 0

@@ -460,17 +460,7 @@ def _f_diagnostics(a, b):
     check = pairs.verify_spectral_pair(a, b)
     if not check.ok:
         raise InvariantViolation("recorded spectrum failed re-verification")
-    pair = check.pair
-    out = {
-        "primitive_a": pairs.is_primitive(a),
-        "primitive_b": pairs.is_primitive(b),
-    }
-    if len(a.ctx.factorization) == 2:
-        out["profile"] = pairs.root_profile(pair).to_json()
-        out["symmetry"] = pairs.symmetry_check(pair)
-        out["deficits"] = pairs.deficit_bounds_check(pair)
-        out["roots_panel"] = pairs.required_roots_panel(pair)
-    return out
+    return pairs.diagnostics_panel(check.pair)
 
 
 def _sample_reps(n, k, limit, seed, affine):

@@ -15,11 +15,12 @@ Conventions:
     order N/gcd(x, N) of the root.
 
 Two independent algorithms decide Phi_d | A:
-  * zero_set() uses the cofactor Psi_d = (X^d - 1)/Phi_d.  With F the fold of
-    A mod X^d - 1, Phi_d | A exactly when X^d - 1 divides F * Psi_d, i.e.
-    when F * Psi_d folds to zero mod X^d - 1.  F and the two nonnegative
-    parts of Psi_d are packed into lanes of big integers, so each divisor
-    costs two integer products, one mask and one shift per product;
+  * zero_set() never forms Phi_d: with F the fold of A mod X^d - 1 and B_d the
+    product of X^{d/p} - 1 over primes p | d, Phi_d | F iff F * B_d = 0 mod
+    X^d - 1, since X^d - 1 is the squarefree product of the Phi_e, e | d, and
+    every proper e | d divides some d/p.  B_d expands to 2^omega(d) unit terms
+    P - Q, packed with F into lanes of big integers, so each divisor costs
+    two integer products, one mask and one shift per product;
   * vanishes_at() folds A mod X^d - 1 and divides by Phi_d (monic, so the
     Euclidean division stays in Z[X]).  It never reads the stored zero set,
     so the self-checks that call it confirm zero_set() by another route.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 
 from .errors import DomainError, InvariantViolation, ParseError
@@ -102,26 +103,25 @@ class CycloPoly:
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> CycloPoly:
-    """Compute Phi_d by exact recursive division of X^d - 1 by all lower Phi_e.
+    """Phi_d as the Moebius product of (X^{d/m} - 1)^{mu(m)} over squarefree m | d.
 
-    Every intermediate division must be exact; a nonzero remainder would mean
-    a corrupted cache and raises immediately.
+    The exponents d/m come from factorize(d).  Each numerator binomial is
+    multiplied in, then each denominator one divided out exactly from the top,
+    in one O(d) pass apiece; a nonzero remainder raises immediately.
     """
-    if d < 1:
-        raise DomainError(f"cyclotomic order must be >= 1, got {d}")
-    if d == 1:
-        return CycloPoly(1, (-1, 1))
-    num = [0] * (d + 1)
-    num[0], num[d] = -1, 1
-    for e in divisors(d):
-        if e == d:
-            continue
-        num, rem = poly_divmod(num, cyclotomic(e).coeffs)
-        if rem:
+    num, den = [d], []
+    for p, _ in factorize(d):
+        num, den = num + [k // p for k in den], den + [k // p for k in num]
+    c = [1]
+    for k in num:
+        c = [hi - lo for lo, hi in zip(c + [0] * k, [0] * k + c)]
+    for k in den:
+        for i in range(len(c) - 1, k - 1, -1):
+            c[i - k] += c[i]
+        if any(c[:k]):
             raise AssertionError(f"inexact division while building Phi_{d}")
-    num = poly_trim(num)
-    assert num[-1] == 1
-    return CycloPoly(d, tuple(num))
+        c = c[k:]
+    return CycloPoly(d, tuple(c))
 
 
 def divisors(n: int) -> tuple:
@@ -182,22 +182,27 @@ class GroupContext:
 
     n: int
     factorization: tuple
-    divisors: tuple
 
     @staticmethod
     def from_factorization(fact) -> "GroupContext":
         fact = tuple(sorted((int(p), int(e)) for p, e in fact))
         if len({p for p, _ in fact}) != len(fact):
             raise DomainError("repeated prime in factorization")
-        n = 1
         for p, e in fact:
             if e < 1 or p < 2 or factorize(p) != ((p, 1),):
                 raise DomainError(f"bad prime power {p}^{e}")
-            n *= p**e
+        # bound the order by its bit count before any power is taken
+        if (bits := sum(e * p.bit_length() for p, e in fact)) > MAX_ORDER:
+            raise DomainError(f"group order may have {bits} bits, above {MAX_ORDER}")
+        return GroupContext(math.prod(p**e for p, e in fact), fact)
+
+    @cached_property
+    def divisors(self):
+        """All divisors of n, ascending; built on first use."""
         ds = [1]
-        for p, e in fact:
+        for p, e in self.factorization:
             ds = [d * p**k for d in ds for k in range(e + 1)]
-        return GroupContext(n, fact, tuple(sorted(ds)))
+        return tuple(sorted(ds))
 
     @property
     def primes(self):
@@ -451,27 +456,20 @@ class ZeroSet:
         )
 
 
-@lru_cache(maxsize=None)
-def _cofactor(d: int) -> tuple:
-    """Psi_d = (X^d - 1) / Phi_d, ascending; the division must be exact."""
-    quo, rem = poly_divmod([-1] + [0] * (d - 1) + [1], cyclotomic(d).coeffs)
-    if rem:
-        raise InvariantViolation(f"Phi_{d} does not divide X^{d} - 1")
-    return tuple(quo)
-
-
 @lru_cache(maxsize=1 << 10)
-def _packed_cofactor(d: int, mass_bits: int) -> tuple:
-    """(P, Q, w) with Psi_d = P - Q, P and Q nonnegative and packed in w-bit lanes.
+def _packed_binomials(d: int, mass_bits: int) -> tuple:
+    """(P, Q, w) with prod over primes p | d of (X^{d/p} - 1) = P - Q mod X^d - 1.
 
-    A lane of F * P or F * Q, for F a fold of mass below 2^mass_bits, is at
-    most mass * ||Psi_d||_1 < 2^w, so no lane carries into the next.
+    P and Q are sums of unit terms X^x, packed in w-bit lanes.  A lane of
+    F * P or F * Q, for F a fold of mass below 2^mass_bits, is at most
+    mass * (|P| + |Q|) < 2^w, so no lane carries into the next.
     """
-    psi = _cofactor(d)
-    w = mass_bits + sum(map(abs, psi)).bit_length()
-    pos = sum(c << (w * i) for i, c in enumerate(psi) if c > 0)
-    neg = sum(-c << (w * i) for i, c in enumerate(psi) if c < 0)
-    return pos, neg, w
+    pos, neg = [0], []
+    for p, _ in factorize(d):
+        k = d // p
+        pos, neg = [(x + k) % d for x in pos] + neg, pos + [(x + k) % d for x in neg]
+    w = mass_bits + (len(pos) + len(neg)).bit_length()
+    return sum(1 << (w * x) for x in pos), sum(1 << (w * x) for x in neg), w
 
 
 def zero_set(a: MaskMultiset) -> ZeroSet:
@@ -479,10 +477,10 @@ def zero_set(a: MaskMultiset) -> ZeroSet:
 
     This is the one place Z(A) is computed.  Per divisor d, A is packed into
     lanes as its fold F mod X^d - 1, and Phi_d | A exactly when F * P and
-    F * Q, folded once mod X^d - 1, agree lane by lane (Psi_d = P - Q; see
-    the module docstring).  The result is stored on the multiset itself,
-    which is frozen, so it can never go stale; every later call on the same
-    instance returns the same ZeroSet object.
+    F * Q, folded once mod X^d - 1, agree lane by lane (P - Q is the product
+    of the X^{d/p} - 1; see the module docstring).  The result is stored on
+    the multiset itself, which is frozen, so it can never go stale; every
+    later call on the same instance returns the same ZeroSet object.
     """
     za = a.__dict__.get("_zero_set")
     if za is None:
@@ -492,7 +490,7 @@ def zero_set(a: MaskMultiset) -> ZeroSet:
         mass_bits = a.mass().bit_length()
         vd = []
         for d in a.ctx.divisors[1:]:
-            pos, neg, w = _packed_cofactor(d, mass_bits)
+            pos, neg, w = _packed_binomials(d, mass_bits)
             f = sum([c << (w * (x % d)) for x, c in terms])
             span = w * d
             low = (1 << span) - 1

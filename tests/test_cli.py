@@ -3,6 +3,7 @@
 import io
 import json
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -200,6 +201,37 @@ def test_survey_resume_flag(tmp_path, capsys):
     assert code1 == code2 == 0
     strip = lambda s: [l for l in s.splitlines() if '"type":"record"' in l]
     assert strip(out1) == strip(out2)
+
+
+def test_exclude_of_a_high_power_does_not_build_the_divisor_lattice(capsys):
+    # the verdict reads the factorization only; the 64,008 divisors of
+    # 2^8000 * 3^7 would take tens of MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "exclude", "--n", "2^8000*3^7")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out.startswith("OPEN")
+    assert peak < 4 << 20
+
+
+def test_exclude_of_an_order_past_the_bit_bound_exits_2(capsys):
+    # 2^99999999999 would need about 12.5 GB; the bound is checked before any power
+    with pytest.raises(SystemExit) as err:
+        run(capsys, "exclude", "--n", "2^99999999999*3^7")
+    assert err.value.code == 2
+    assert "bits" in capsys.readouterr().err
+
+
+def test_analyze_at_a_six_prime_order(capsys):
+    # zero_set forms no Phi_d, so no long division by Phi_30030 happens
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "analyze", "--json", "30030:{0,1}")
+    obj = json.loads(out)
+    assert code == 0 and obj["zero_divisors"] == [2]
+    assert obj["spectral"]["verdict"] == obj["tile"]["verdict"] == "found"
+    assert time.perf_counter() - start < 5
 
 
 def test_profile_three_prime_order_is_usage_error(capsys):

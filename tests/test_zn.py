@@ -58,7 +58,7 @@ def test_cyclotomic_12_against_naive_division():
     assert cyclotomic(12).coeffs == (1, 0, -1, 0, 1)
 
 
-@pytest.mark.parametrize("d", range(1, 61))
+@pytest.mark.parametrize("d", [*range(1, 401), 1155, 2310])
 def test_cyclotomic_matches_sympy(d):
     ours = list(cyclotomic(d).coeffs)
     theirs = list(reversed(oracles.cyclo_poly(d).all_coeffs()))
@@ -446,7 +446,7 @@ def test_vanishes_at_ignores_the_stored_zero_set():
 
 
 # ---------------------------------------------------------------------------
-# the packed cofactor kernel behind zero_set
+# the packed binomial kernel behind zero_set
 
 # every order the query benchmark names
 QUERY_ORDERS = (72, 96, 100, 108, 144, 162, 192, 200, 216, 288, 324, 392, 400,
@@ -497,32 +497,58 @@ def test_zero_set_matches_sympy_on_heavy_multisets_at_large_orders():
     assert len({b for _, b in seen}) >= 3
 
 
-def test_cofactor_times_cyclotomic_is_xn_minus_1():
-    for d in {d for n in QUERY_ORDERS for d in divisors(n)[1:]}:
-        psi = zn._cofactor(d)
-        x_d_minus_1 = [-1] + [0] * (d - 1) + [1]
-        assert poly_mul(list(psi), list(cyclotomic(d).coeffs)) == x_d_minus_1
+def _lanes(packed, w, d):
+    return [packed >> (w * i) & ((1 << w) - 1) for i in range(d)]
+
+
+def test_packed_binomials_expand_the_prime_binomial_product():
+    ds = {d for n in QUERY_ORDERS + (210, 2310) for d in divisors(n)[1:]}
+    for d in sorted(ds):
+        # prod over primes p | d of (X^{d/p} - 1), expanded densely, then folded
+        prod = [1]
+        for p, _ in group(d).factorization:
+            prod = poly_mul(prod, [-1] + [0] * (d // p - 1) + [1])
+        folded = list(zn.poly_mod_xn_minus_1(prod, d))
         for mass_bits in (1, 8, 21):
-            pos, neg, w = zn._packed_cofactor(d, mass_bits)
+            pos, neg, w = zn._packed_binomials(d, mass_bits)
+            p_lanes, q_lanes = _lanes(pos, w, d), _lanes(neg, w, d)
+            assert [a - b for a, b in zip(p_lanes, q_lanes)] == folded
+            assert pos >> (w * d) == neg >> (w * d) == 0
             # a lane of F * P or F * Q stays below 2^w for any mass < 2^mass_bits
-            assert (1 << w) > ((1 << mass_bits) - 1) * sum(map(abs, psi))
-            lanes = [(pos >> (w * i) & ((1 << w) - 1)) - (neg >> (w * i) & ((1 << w) - 1))
-                     for i in range(len(psi))]
-            assert lanes == list(psi) and pos >> (w * len(psi)) == neg >> (w * len(psi)) == 0
+            assert (1 << w) > ((1 << mass_bits) - 1) * (sum(p_lanes) + sum(q_lanes))
+        if d <= 60:
+            assert not oracles.vanishes(folded, d)
+            assert all(oracles.vanishes(folded, e) for e in divisors(d)[:-1])
 
 
 def test_zero_set_neither_folds_nor_divides(monkeypatch):
-    # zero_set and vanishes_at are two algorithms, so each can check the other
+    # zero_set and vanishes_at are two algorithms, so each can check the other;
+    # zero_set never forms Phi_d, so a wrong cyclotomic() cannot fool both
     def forbidden(*args):
         raise AssertionError("division route reached")
 
+    zn._packed_binomials.cache_clear()
     monkeypatch.setattr(zn, "_cyclo_divides", forbidden)
     monkeypatch.setattr(zn, "poly_mod_xn_minus_1", forbidden)
+    monkeypatch.setattr(zn, "cyclotomic", forbidden)
+    monkeypatch.setattr(zn, "poly_divmod", forbidden)
     a = mm(12, [0, 1, 6, 7])
     assert zero_set(a).vanishing_divisors == {2, 4, 12}
     with pytest.raises(AssertionError, match="division route"):
         vanishes_at(a, 2)
-    assert zn._packed_cofactor.cache_info().maxsize is not None
+    assert zn._packed_binomials.cache_info().maxsize is not None
+
+
+def test_zero_set_matches_division_on_coset_unions_at_210_and_2310():
+    rng = random.Random(2310)
+    for n in (210, 2310):
+        sizes = set()
+        for _ in range(12):
+            a = MaskMultiset.from_coeffs(n, _weighted_cosets(rng, n))
+            expected = {d for d in divisors(n)[1:] if vanishes_at(a, d)}
+            assert zero_set(a).vanishing_divisors == expected
+            sizes.add(len(expected))
+        assert 0 in sizes and len(sizes) >= 4
 
 
 def test_multiset_predicates():
