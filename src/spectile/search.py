@@ -4,8 +4,10 @@ Three layers:
 
   * canonical enumeration: one representative per translation orbit (or per
     affine orbit when requested), namely the lexicographically least translate
-    containing 0, which is the translate whose bitmask key is largest; the test
-    scans the key's rotations by the set's elements with early exit.
+    containing 0.  Its gap sequence is a necklace, so translation orbits come
+    from a necklace walk with no candidate rejected; affine orbits keep the
+    necklaces that no unit dilate beats, by scanning each dilate's bitmask-key
+    rotations.
 
   * witness searches: spectra are cliques of size |A| (containing 0) in the
     graph on {0} union Z(A) with edges x ~ y iff x - y lies in Z(A); tiling
@@ -30,7 +32,6 @@ import time
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from multiprocessing import get_context
 
 from . import __version__, cm, pairs
@@ -49,7 +50,11 @@ SURVEY_SCHEMA = "spectile.survey/1"
 # smaller sorted tuple, and the key of S - t is the key of S rotated left by t.
 # The canonical representative is therefore the translate (of any unit dilate,
 # for affine orbits) with the largest key; it contains 0, so only rotations by
-# an element of the set need checking.
+# an element of the set need checking.  That rotation scan survives in
+# _canonical_form and in the affine leaf test of _canonical_of_size; the
+# translation orbits themselves come from _necklace_prefixes, since the
+# translates containing 0 are the rotations of the set's gap sequence and the
+# lex-least one is the least rotation, a necklace.
 
 
 def _canonical_form(rep, n, units):
@@ -99,27 +104,78 @@ def _canonical_of_size(n, k, affine, first=None):
                  for u in (group(n).units()[1:] if affine else ())]
     firsts = range(1, n - k + 2) if first is None else [first]
     for a1 in firsts:
-        head = bit[0] | bit[a1]
-        # a1 is the least gap of a canonical set, so later elements lie in [2*a1, n-a1]
-        for combo in combinations(range(2 * a1, n - a1 + 1), k - 2):
-            rep = (0, a1) + combo
-            key = head + sum(map(bit.__getitem__, combo))
-            wide = key << n | key
-            for x in rep:
-                if wide >> (n - x) & full > key:
-                    break
-            else:
+        for prefix, lo, stop in _necklace_prefixes(n, k, a1):
+            if not dilations:
+                for x in range(lo, stop):
+                    yield prefix + (x,)
+                continue
+            head = sum(map(bit.__getitem__, prefix))
+            for x in range(lo, stop):
+                rep = prefix + (x,)
+                key = head + bit[x]
                 for ubit, shift in dilations:
                     ukey = sum(map(ubit.__getitem__, rep))
                     wide = ukey << n | ukey
-                    for x in rep:
-                        if wide >> shift[x] & full > key:
+                    for y in rep:
+                        if wide >> shift[y] & full > key:
                             break
                     else:
                         continue
                     break  # some translate of this dilate has a larger key
                 else:
                     yield rep
+
+
+def _necklace_prefixes(n, k, a1):
+    """The translation-canonical k-subsets of Z_n with first gap a1, in lex order.
+
+    Yields (prefix, lo, stop): the sets are prefix + (x,) for lo <= x < stop.
+    A set's gaps g_1..g_k (g_k closing the sum to n) form a necklace, the
+    least of its rotations.  The walk is Fredricksen-Kessler-Maiorana's with
+    the sum fixed: with p the period of g_1..g_{t-1}, g_t >= g_{t-p}, and p
+    becomes t when g_t > g_{t-p}; a full sequence is a necklace iff g_k >
+    g_{k-p}, or g_k = g_{k-p} and p divides k.  Every gap is at least a1, so
+    a prefix is dropped once the gaps left cannot all be.
+    """
+    if k * a1 > n:
+        return
+    if k == 2:
+        yield (0,), a1, a1 + 1
+        return
+    last = k - 1  # the index of the leaf element x, so g_k = n - x
+    xs = [0] * k  # xs[t] = g_1 + ... + g_t
+    gap = [0] * k
+    per = [0] * k  # per[t]: the period of g_1..g_t
+    xs[1] = gap[1] = a1
+    per[1] = 1
+    t = 1
+    while True:
+        if t < last - 1:
+            t += 1
+            g = gap[t - per[t - 1]]
+        else:
+            # the leaves under this prefix: the least g_{k-1} keeps the period
+            # p, and every larger one makes it k - 1, which needs g_k > g_1 = a1
+            p = per[t]
+            g = gap[last] = gap[last - p]
+            x = xs[t] + g
+            ref = gap[k - p]
+            if n - x > ref or n - x == ref and k % p == 0:
+                yield tuple(xs[:last]), x, max(n - a1, x + 1)
+            else:
+                yield tuple(xs[:last]), x + 1, n - a1
+            if t == 1:
+                return
+            g = gap[t] + 1
+        while xs[t - 1] + g + (k - t) * a1 > n:  # the k - t gaps left are each >= a1
+            t -= 1
+            if t == 1:
+                return
+            g = gap[t] + 1
+        gap[t] = g
+        xs[t] = xs[t - 1] + g
+        p = per[t - 1]
+        per[t] = p if g == gap[t - p] else t
 
 
 def orbit_count(n, size=None, affine=False):
@@ -287,7 +343,9 @@ def _tiling_backtrack(a: MaskMultiset, budget, want_all):
     full = (1 << n) - 1
     amask = a.mask()
     elems = a.support()
-    placements = [_rot(amask, t, n, full) for t in range(n)]
+    # translate t of A, built the first time a node reaches it: a search that
+    # ends early never pays for all N of them
+    placements = [0] * n
     sols = []
     nodes = 0
 
@@ -304,6 +362,8 @@ def _tiling_backtrack(a: MaskMultiset, budget, want_all):
         for aa in elems:
             t = (c - aa) % n
             pm = placements[t]
+            if not pm:
+                pm = placements[t] = _rot(amask, t, n, full)
             if pm & covered == 0:
                 chosen.append(t)
                 if rec(covered | pm, chosen):
@@ -313,7 +373,7 @@ def _tiling_backtrack(a: MaskMultiset, budget, want_all):
 
     exhausted = True
     try:
-        rec(placements[0], [0])
+        rec(amask, [0])
     except _OutOfBudget:
         exhausted = False
     return sols, exhausted, nodes

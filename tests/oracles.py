@@ -2,7 +2,8 @@
 
 Everything here recomputes results through a different route than the package
 under test: sympy supplies cyclotomic polynomials and exact remainders, and
-plain itertools enumeration supplies spectra, tilings and orbit counts.
+plain itertools enumeration supplies spectra, tilings, orbit counts and the
+generate-and-filter orbit enumeration that the necklace walk replaced.
 Deliberately slow and simple.
 """
 
@@ -133,6 +134,44 @@ def orbit_transversal(n, k):
             translates.append(tuple(sorted((y - a) % n for y in s)))
         reps.add(min(translates))
     return sorted(reps)
+
+
+def canonical_of_size_by_filter(n, k, affine, first=None):
+    """The canonical k-sets of Z_n with first gap `first` (all when None), in
+    lex order, by generate-and-filter: every (0, a1) + combination with later
+    elements in [2*a1, n - a1] is kept when no translate by one of its
+    elements (of any unit dilate, when affine) has a larger bitmask key."""
+    if k == 1:
+        if first is None:
+            yield (0,)
+        return
+    full = (1 << n) - 1
+    bit = [1 << (n - 1 - x) for x in range(n)]
+    units = [u for u in range(2, n) if math.gcd(u, n) == 1] if affine else []
+    dilations = [([bit[u * x % n] for x in range(n)], [n - u * x % n for x in range(n)])
+                 for u in units]
+    firsts = range(1, n - k + 2) if first is None else [first]
+    for a1 in firsts:
+        head = bit[0] | bit[a1]
+        for combo in combinations(range(2 * a1, n - a1 + 1), k - 2):
+            rep = (0, a1) + combo
+            key = head + sum(map(bit.__getitem__, combo))
+            wide = key << n | key
+            for x in rep:
+                if wide >> (n - x) & full > key:
+                    break
+            else:
+                for ubit, shift in dilations:
+                    ukey = sum(map(ubit.__getitem__, rep))
+                    wide = ukey << n | ukey
+                    for x in rep:
+                        if wide >> shift[x] & full > key:
+                            break
+                    else:
+                        continue
+                    break  # some translate of this dilate has a larger key
+                else:
+                    yield rep
 
 
 def naive_divide(num, den):

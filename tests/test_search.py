@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -47,7 +48,7 @@ def test_canonical_sets_size1():
     assert list(canonical_sets(9, 1)) == [(0,)]
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(1, 23))
 def test_orbit_counts_match_burnside(n):
     for k in range(1, n + 1):
         got = sum(1 for _ in canonical_sets(n, k))
@@ -68,11 +69,42 @@ def test_canonical_form_helpers():
     assert translation_canonical_form(rep, 12) == rep
 
 
-@pytest.mark.parametrize("n", [6, 8, 10, 12])
+@pytest.mark.parametrize("n", range(1, 21))
 def test_affine_enumeration_counts(n):
     for k in range(1, n + 1):
         got = sum(1 for _ in canonical_sets(n, k, affine=True))
         assert got == orbit_count(n, k, affine=True)
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_necklace_walk_matches_generate_and_filter(affine):
+    # every (n, k, a1) task up to Z_20, in order: 125,139 sets over both modes
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            whole = []
+            for a1 in range(1, n - k + 2):
+                want = list(oracles.canonical_of_size_by_filter(n, k, affine, first=a1))
+                assert list(search._canonical_of_size(n, k, affine, first=a1)) == want
+                whole += want
+            if k == 1:
+                whole = [(0,)]
+            assert list(search._canonical_of_size(n, k, affine)) == whole
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_necklace_walk_edge_cases(affine):
+    walk = search._canonical_of_size
+    # a first gap a1 with k * a1 > n leaves no room for k gaps of at least a1
+    for n, k, a1 in ((20, 4, 6), (20, 2, 11), (7, 7, 2), (12, 5, 3)):
+        assert list(walk(n, k, affine, first=a1)) == []
+    for n in range(1, 13):
+        assert list(walk(n, n, affine)) == [tuple(range(n))]
+    assert list(canonical_sets(1, affine=affine)) == [(0,)]
+    assert list(canonical_sets(2, affine=affine)) == [(0,), (0, 1)]
+    # the periodic set's four rotations of its gaps (5, 5, 5, 5) are one necklace
+    reps = list(canonical_sets(20, 4, affine=affine))
+    assert reps.count((0, 5, 10, 15)) == 1
+    assert len(reps) == len(set(reps)) == orbit_count(20, 4, affine)
 
 
 def test_affine_reps_are_translation_canonical():
@@ -137,6 +169,20 @@ def test_enumerate_complements_matches_brute_force():
             assert exhausted
             got = sorted(t.support() for t in ours)
             assert got == sorted(oracles.brute_tilings(n, rep))
+
+
+def test_tiling_search_builds_only_the_translates_it_reaches():
+    # the search ends after one node; building all N translates up front
+    # took N^2 bits, a 58 MB peak here
+    a = mm(30030, [0, 1, 3])
+    tracemalloc.start()
+    try:
+        out = find_tiling_complement(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out.verdict, out.nodes) == ("none", 1)
+    assert peak < 4 * 2**20
 
 
 def test_budget_exhaustion_is_reported():
