@@ -9,16 +9,20 @@ witness is a pair of base-point multisets (P, Q) with
 
 both with nonnegative coefficients.  The decomposition is not unique; the
 contract everywhere is "any witness satisfying the identity".
+
+Hypotheses and preconditions read the stored Z(A) (vanishes_at_power) and
+build no dilate: (m.A)(zeta_N) = A(zeta_N^m).  Only the self-check on an
+empty cycle part calls vanishes_at, which must not trust the stored value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 from .errors import DomainError, InvariantViolation, PreconditionError
-from .zn import MaskMultiset, dilate, phi_product, restrict_class, vanishes_at
+from .zn import MaskMultiset, phi_product, restrict_class, vanishes_at, vanishes_at_power
 
 
 @dataclass(frozen=True)
@@ -54,25 +58,22 @@ def lam_leung_decompose(a: MaskMultiset) -> CycleDecomposition:
     ctx = a.ctx
     p, _m, q, _n = ctx.prime_pair()
     n = ctx.n
-    if not vanishes_at(a, n):
+    if not vanishes_at_power(a, 1):
         raise PreconditionError("multiset does not vanish at a primitive root")
-    coeffs = a.coeffs
     pq = p * q
     m = n // pq
-    h_of_v = [v * p * pow(p, -1, q) % pq for v in range(q)]  # (0, v) -> h
-    h_of_u = [u * q * pow(q, -1, p) % pq for u in range(p)]  # (u, 0) -> h
-    p_bases = [0] * n
-    q_bases = [0] * n
-    for j in range(m):
-        r = [coeffs[j + m * h] for h in h_of_v]
-        shift = min(r)
-        for v in range(q):
-            p_bases[j + m * v] = r[v] - shift
-        for u in range(p):
-            q_bases[j + m * u] = coeffs[j + m * h_of_u[u]] - r[0] + shift
+    # entry j + m h of A, for h in Z_pq, is entry j of row[h]
+    row = [a.coeffs[m * h : m * h + m] for h in range(pq)]
+    r = [row[v * p * pow(p, -1, q) % pq] for v in range(q)]  # (0, v) -> h
+    shift = list(map(min, *r))
+    p_bases, q_bases = [], []
+    for r_v in r:
+        p_bases += map(sub, r_v, shift)
+    for u in range(p):  # (u, 0) -> h
+        q_bases += map(add, map(sub, row[u * q * pow(q, -1, p) % pq], r[0]), shift)
     dec = CycleDecomposition(
-        MaskMultiset(ctx, tuple(p_bases)),
-        MaskMultiset(ctx, tuple(q_bases)),
+        MaskMultiset(ctx, tuple(p_bases) + (0,) * (n - q * m)),
+        MaskMultiset(ctx, tuple(q_bases) + (0,) * (n - p * m)),
         p,
         q,
     )
@@ -84,7 +85,7 @@ def lam_leung_decompose(a: MaskMultiset) -> CycleDecomposition:
     for prime, part, mexp in ((p, dec.p_part, _m), (q, dec.q_part, _n)):
         if part.is_empty():
             for k in range(1, mexp + 1):
-                if not vanishes_at(dilate(a, prime**k), n):
+                if not vanishes_at(a, n // math.gcd(prime**k, n)):
                     raise InvariantViolation(
                         "empty cycle part contradicts a surviving dilation root"
                     )
@@ -113,20 +114,10 @@ def ma_lemma_check(a: MaskMultiset, p: int) -> bool:
     if m == 0:
         raise DomainError(f"{p} does not divide {ctx.n}")
     pm = p**m
-    hypothesis = all(
-        vanishes_at(a, d) for d in ctx.divisors if d % pm == 0
-    )
-    if hypothesis and not a.is_empty():
-        if not is_cycle_union(a, p):
-            raise InvariantViolation(
-                "full-power vanishing did not force a p-cycle union"
-            )
+    hypothesis = all(vanishes_at_power(a, ctx.n // d) for d in ctx.divisors if d % pm == 0)
+    if hypothesis and not a.is_empty() and not is_cycle_union(a, p):
+        raise InvariantViolation("full-power vanishing did not force a p-cycle union")
     return hypothesis
-
-
-def _class_on_single_cycle(support, n, step):
-    """All elements congruent mod step (the cycle of size n//step through them)."""
-    return all((x - support[0]) % step == 0 for x in support)
 
 
 def preroothunt_check(a: MaskMultiset):
@@ -140,15 +131,11 @@ def preroothunt_check(a: MaskMultiset):
     p, _m, q, _n = ctx.prime_pair()
     n = ctx.n
     d = n // (p * q)
-    step_p, step_q = n // p, n // q
     for j in range(d):
         cls = restrict_class(a, j, d) if d > 1 else a
         supp = cls.support()
-        if len(supp) < 2:
-            continue
-        if _class_on_single_cycle(supp, n, step_p):
-            continue
-        if _class_on_single_cycle(supp, n, step_q):
+        # a class inside one p- or q-cycle: all its elements agree mod N/p or N/q
+        if any(all((x - supp[0]) % step == 0 for x in supp) for step in (n // p, n // q)):
             continue
         for x in supp:
             for y in supp:
@@ -165,18 +152,20 @@ def roothunt_check(a: MaskMultiset, d: int):
     a difference of order pqd.
 
     Hypothesis: d | N/q, the multiset (qd).A is a union of p-cycles, and
-    A(zeta_N^d) != 0 (evaluated as the dilation d.A not vanishing at a
-    primitive root).  When it holds, returns pqd after verifying that A - A
-    meets the divisor class (N/pqd) Z_N^*; returns None when it fails.
+    A(zeta_N^d) != 0.  B is a union of p-cycles iff Phi_p(X^{N/p}) | B, i.e.
+    iff B vanishes at every order e | N with p^m | e; for B = (qd).A these are
+    the A(zeta_N^{d q^j}), 1 <= j <= n + 1.  When it holds, returns pqd after
+    verifying that A - A meets the divisor class (N/pqd) Z_N^*; returns None
+    when it fails.
     """
     ctx = a.ctx
     p, _m, q, _n = ctx.prime_pair()
     n = ctx.n
     if d < 1 or (n // q) % d != 0:
         raise DomainError(f"{d} does not divide N/q = {n // q}")
-    if not is_cycle_union(dilate(a, q * d), p):
+    if not all(vanishes_at_power(a, d * q**j) for j in range(1, _n + 2)):
         return None
-    if vanishes_at(dilate(a, d), n):
+    if vanishes_at_power(a, d):
         return None
     pqd = p * q * d
     if n % pqd != 0:

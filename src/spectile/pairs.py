@@ -15,14 +15,12 @@ satisfy, so violations on ordinary pairs are expected and reported, never
 asserted.  A genuine counterexample candidate is precisely a pair that passes
 all of them.
 
-Every question the reporters and the weak structure checks ask of a nonempty
-member is whether it vanishes at some root of unity, so they read the
-member's stored zero set: A(zeta_d) = 0 iff d is a vanishing divisor, and
-A(zeta_N^m) = 0 iff the order N/gcd(m, N) is.  vanishes_at, which folds and
-divides afresh, stays only where that independence or generality is the
-point: route two of spectral_routes and the final self-check of
-extend_pair, which must not trust the stored value, and classify_absorption,
-which accepts an empty multiset, on which zero_set raises.
+The reporters, the weak structure checks and the absorption hypothesis ask
+only whether a member vanishes at roots of unity, so they read its stored
+zero set: A(zeta_N^m) = 0 iff the order N/gcd(m, N) is a vanishing divisor
+(vanishes_at_power, which also answers for the empty multiset).  vanishes_at
+stays only where independence is the point: route two of spectral_routes and
+the final self-check of extend_pair, which must not trust the stored value.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from .zn import (
     phi_product,
     restrict_class,
     vanishes_at,
+    vanishes_at_power,
     zero_set,
 )
 
@@ -281,6 +280,8 @@ def classify_absorption(
         raise DomainError(f"{p} is not a prime divisor of {n}")
     if d < 1 or n % (p * d) != 0:
         raise DomainError(f"pd = {p * d} does not divide {n}")
+    if a is not None and a.n != n:
+        raise DomainError("pair members live in different groups")
     verdicts = tuple(_class_verdict(b, i, d, p) for i in range(d))
     k_sets = {pr: k_set(b, pr) for pr in ctx.primes}
     hypothesis = False
@@ -289,23 +290,19 @@ def classify_absorption(
         q = qq if p == pp else pp
         if n % (p * q * d) == 0 and (n // (p * q)) % d == 0:
             hypothesis = (
-                not vanishes_at(dilate(a, d), n)
-                and not vanishes_at(b, p * d)
-                and vanishes_at(b, p * q * d)
+                not vanishes_at_power(a, d)
+                and not vanishes_at_power(b, n // (p * d))
+                and vanishes_at_power(b, n // (p * q * d))
             )
     if hypothesis:
         if any(v == "neither" for v, _ in verdicts):
-            raise InvariantViolation(
-                "absorption dichotomy failed under a true hypothesis"
-            )
+            raise InvariantViolation("absorption dichotomy failed under a true hypothesis")
         absorbed_nonempty = any(
             v == "absorbed" and restrict_class(b, i, d).mass() > 0
             for i, (v, _) in enumerate(verdicts)
         )
         if not absorbed_nonempty:
-            raise InvariantViolation(
-                "no absorbed class under a true hypothesis"
-            )
+            raise InvariantViolation("no absorbed class under a true hypothesis")
     return AbsorptionReport(d, p, verdicts, k_sets, hypothesis)
 
 

@@ -21,9 +21,11 @@ Two independent algorithms decide Phi_d | A:
     every proper e | d divides some d/p.  B_d expands to 2^omega(d) unit terms
     P - Q, packed with F into lanes of big integers, so each divisor costs
     two integer products, one mask and one shift per product;
-  * vanishes_at() folds A mod X^d - 1 and divides by Phi_d (monic, so the
-    Euclidean division stays in Z[X]).  It never reads the stored zero set,
-    so the self-checks that call it confirm zero_set() by another route.
+  * vanishes_at() folds A mod X^d - 1 and tests F * N- for exact division
+    by N+, where N+ and N- are the binomial products with Phi_d * N- = N+
+    (Moebius inversion), one pass per binomial; the same kernel builds Phi_d.
+    It never reads the stored zero set, so the self-checks that call it
+    confirm zero_set() by another route.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
+from operator import add, sub
 
 from .errors import DomainError, InvariantViolation, ParseError
 
@@ -60,24 +63,6 @@ def poly_mul(a, b):
     return out
 
 
-def poly_divmod(num, den):
-    """Euclidean division by a monic integer polynomial; exact over Z."""
-    den = poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    assert den[-1] == 1, "divisor must be monic"
-    rem = list(num)
-    dd = len(den) - 1
-    quo = [0] * max(0, len(rem) - dd)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            quo[i - dd] = c
-            for j in range(dd + 1):
-                rem[i - dd + j] -= c * den[j]
-    return quo, poly_trim(rem)
-
-
 def poly_mod_xn_minus_1(c, n):
     """Fold a coefficient sequence into Z[X]/(X^n - 1), as a length-n tuple."""
     if len(c) == n:
@@ -101,27 +86,43 @@ class CycloPoly:
         return sum(self.coeffs)
 
 
+def _mobius_exponents(d: int) -> tuple:
+    """(plus, minus): d/m over squarefree m | d with mu(m) = +1 and -1, from factorize(d).
+
+    With N+ and N- the products of X^k - 1 over plus and over minus, Phi_d * N- = N+.
+    """
+    plus, minus = (d,), ()
+    for p, _ in factorize(d):
+        plus, minus = plus + tuple(k // p for k in minus), minus + tuple(k // p for k in plus)
+    return plus, minus
+
+
+def _binomial_quotient(c, mul, div):
+    """c * prod(X^k - 1 for k in mul) / prod(X^k - 1 for k in div), or None if inexact.
+
+    One pass per binomial: a product shifts and subtracts; a division adds each
+    length-k block, from the top, into the one below, leaving the remainder
+    under the quotient.  Exact division by each monic factor in turn is exact
+    division by their product in Z[X].  Short products and long divisors go
+    first, which keeps the list short.
+    """
+    c = list(c)
+    for k in sorted(mul):
+        c = list(map(sub, [0] * k + c, c + [0] * k))
+    for k in sorted(div, reverse=True):
+        for hi in range(len(c), k, -k):
+            lo = max(hi - k, k)
+            c[lo - k : hi - k] = map(add, c[lo - k : hi - k], c[lo:hi])
+        if any(c[:k]):
+            return None
+        del c[:k]
+    return c
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> CycloPoly:
-    """Phi_d as the Moebius product of (X^{d/m} - 1)^{mu(m)} over squarefree m | d.
-
-    The exponents d/m come from factorize(d).  Each numerator binomial is
-    multiplied in, then each denominator one divided out exactly from the top,
-    in one O(d) pass apiece; a nonzero remainder raises immediately.
-    """
-    num, den = [d], []
-    for p, _ in factorize(d):
-        num, den = num + [k // p for k in den], den + [k // p for k in num]
-    c = [1]
-    for k in num:
-        c = [hi - lo for lo, hi in zip(c + [0] * k, [0] * k + c)]
-    for k in den:
-        for i in range(len(c) - 1, k - 1, -1):
-            c[i - k] += c[i]
-        if any(c[:k]):
-            raise AssertionError(f"inexact division while building Phi_{d}")
-        c = c[k:]
-    return CycloPoly(d, tuple(c))
+    """Phi_d = N+ / N-, the Moebius product of the binomials X^{d/m} - 1."""
+    return CycloPoly(d, tuple(_binomial_quotient([1], *_mobius_exponents(d))))
 
 
 def divisors(n: int) -> tuple:
@@ -412,21 +413,17 @@ def parse_multiset(text) -> MaskMultiset:
 
 @lru_cache(maxsize=1 << 17)
 def _cyclo_divides(d, folded):
-    """Exact test Phi_d | F for a length-d coefficient tuple F (fold of A mod X^d - 1)."""
-    if d == 1:
-        return sum(folded) == 0
-    _, rem = poly_divmod(list(folded), cyclotomic(d).coeffs)
-    return not rem
+    """Exact test Phi_d | F for a length-d fold F: F * N- is divisible by N+."""
+    plus, minus = _mobius_exponents(d)
+    return _binomial_quotient(folded, minus, plus) is not None
 
 
 def vanishes_at(a: MaskMultiset, d: int) -> bool:
-    """Whether A(zeta_d) = 0, for d | N, decided by exact division.
+    """Whether A(zeta_d) = 0, for d | N, decided by exact binomial division.
 
-    The mask polynomial is folded mod X^d - 1 (legitimate since d | N) and the
-    fold is divided by Phi_d.  This is the independent route: zero_set()
-    decides the same fact through the cofactor product, and this function
-    never reads the zero set stored on A.  Its divisions are memoised per
-    (d, fold) in a bounded cache that only this function fills.
+    The fold of A mod X^d - 1 (legitimate since d | N) goes to _cyclo_divides,
+    whose verdicts are memoised per (d, fold) in a bounded cache.  This is the
+    independent route: it never reads the zero set stored on A.
     """
     n = a.n
     if d < 1 or n % d != 0:
@@ -502,6 +499,12 @@ def zero_set(a: MaskMultiset) -> ZeroSet:
     return za
 
 
+def vanishes_at_power(a: MaskMultiset, m: int) -> bool:
+    """Whether A(zeta_N^m) = 0, read from Z(A) (order 1 is the mass); the
+    empty multiset, on which zero_set() raises, vanishes everywhere."""
+    return a.is_empty() or zero_set(a).contains(m)
+
+
 # ---------------------------------------------------------------------------
 # multiset transforms
 
@@ -544,6 +547,14 @@ def difference_set(a: MaskMultiset) -> frozenset:
 # products in Z[X]/(X^N - 1)
 
 
+def _nonnegative(ctx: GroupContext, coeffs: tuple) -> MaskMultiset:
+    """A multiset from a length-N tuple that is nonnegative by construction (a
+    product of multisets), without __post_init__'s O(N) scan."""
+    a = object.__new__(MaskMultiset)
+    a.__dict__.update(ctx=ctx, coeffs=coeffs)
+    return a
+
+
 def phi_of_power(s: int, t: int, ctx: GroupContext) -> MaskMultiset:
     """Mask multiset of Phi_s(X^t) mod X^N - 1; raises if a coefficient is negative."""
     n = ctx.n
@@ -555,7 +566,7 @@ def phi_of_power(s: int, t: int, ctx: GroupContext) -> MaskMultiset:
     # the fold can leave a negative coefficient only if Phi_s has one
     if min(coeffs) < 0 and min(out) < 0:
         raise InvariantViolation(f"Phi_{s}(X^{t}) not nonnegative mod X^{n}-1")
-    return MaskMultiset(ctx, tuple(out))
+    return _nonnegative(ctx, tuple(out))
 
 
 def cyclic_product(a: MaskMultiset, b: MaskMultiset) -> MaskMultiset:
@@ -573,7 +584,7 @@ def cyclic_product(a: MaskMultiset, b: MaskMultiset) -> MaskMultiset:
         ci = a.coeffs[i]
         for j, cj in b_terms:
             out[(i + j) % n] += ci * cj
-    return MaskMultiset(a.ctx, tuple(out))
+    return _nonnegative(a.ctx, tuple(out))
 
 
 def phi_product(base: MaskMultiset, factors) -> MaskMultiset:

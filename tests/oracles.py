@@ -17,7 +17,7 @@ from sympy.abc import x
 
 @lru_cache(maxsize=None)
 def cyclo_poly(d):
-    return sympy.Poly(sympy.cyclotomic_poly(d, x), x)
+    return sympy.cyclotomic_poly(d, x, polys=True)
 
 
 def poly_from_asc(coeffs):
@@ -30,7 +30,7 @@ def vanishes(coeffs, d):
     p = poly_from_asc(coeffs)
     if p.is_zero:
         return True
-    return p.rem(cyclo_poly(d)).is_zero
+    return p.rem(cyclo_poly(d), auto=False).is_zero
 
 
 def value_at_root_power(coeffs, n, e):
@@ -174,19 +174,26 @@ def canonical_of_size_by_filter(n, k, affine, first=None):
                     yield rep
 
 
-def naive_divide(num, den):
-    """Schoolbook exact division of ascending-coefficient integer polys."""
+def naive_divmod(num, den):
+    """Schoolbook division of ascending-coefficient integer polys by a monic
+    den: (quotient, remainder), the remainder of length len(den) - 1."""
     num = list(num)
     dd = len(den) - 1
     assert den[-1] == 1
-    quo = [0] * (len(num) - dd)
+    quo = [0] * max(0, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c:
             quo[i - dd] = c
             for j in range(dd + 1):
                 num[i - dd + j] -= c * den[j]
-    assert all(v == 0 for v in num), "division not exact"
+    return quo, num[:dd]
+
+
+def naive_divide(num, den):
+    """Schoolbook exact division of ascending-coefficient integer polys."""
+    quo, rem = naive_divmod(num, den)
+    assert all(v == 0 for v in rem), "division not exact"
     return quo
 
 

@@ -276,6 +276,21 @@ def test_decompose_large_multiplicities(capsys):
     assert list(dec.recompose().coeffs) == [2000, 0, 2000, 0, 2000, 0]
 
 
+def test_decompose_of_the_empty_multiset(capsys):
+    code, out, _ = run(capsys, "decompose", "--json", "6:{}")
+    obj = json.loads(out)
+    assert code == 0 and obj["ok"] is True
+    assert obj["p_part"] == obj["q_part"] == [0] * 6
+
+
+def test_verify_at_a_six_prime_order(capsys):
+    # route two divides by binomials, so Phi_30030 is never divided by densely
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--json", "--spectral", "30030:{0,15015}", "30030:{0,1}")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert time.perf_counter() - start < 3
+
+
 def test_json_boolean_coefficients_are_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         run(capsys, "analyze", '{"n":3,"coeffs":[true,false,true]}')

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from spectile import (
     CycleDecomposition,
     DomainError,
+    InvariantViolation,
     MaskMultiset,
     PreconditionError,
+    classify_absorption,
     dilate,
     group,
     is_cycle_union,
@@ -22,6 +24,7 @@ from spectile import (
     roothunt_check,
     vanishes_at,
 )
+from spectile import cycles, pairs
 
 import oracles
 
@@ -309,3 +312,131 @@ def test_roothunt_deeper_divisor_instance():
     # d = 2 in Z_24: (6.{0,2}) is one 2-cycle and the set survives at the
     # order-12 root, so a difference of order 12 must exist
     assert roothunt_check(mm(24, [0, 2]), 2) == 12
+
+
+def test_recompose_matches_hand_written_expansion_on_seeded_decompositions():
+    # arbitrary parts, not only those lam_leung_decompose returns: sparse or
+    # dense, with multiplicities from 1 to 10^6
+    rng = random.Random(721000)
+    for n in QUERY_TWO_PRIME_ORDERS:
+        p, _m, q, _n = group(n).prime_pair()
+        for _ in range(2):
+            parts = []
+            for _ in range(2):
+                vec = [0] * n
+                for x in rng.sample(range(n), rng.choice([0, 1, 8, n // 3])):
+                    vec[x] = rng.choice([1, 3, rng.randint(1, 10**6)])
+                parts.append(coeffs(n, vec))
+            dec = CycleDecomposition(*parts, p, q)
+            assert dec.recompose().coeffs == _expanded(dec)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis tests read the stored zero set
+
+
+class _IndependentRoute(Exception):
+    pass
+
+
+@pytest.fixture
+def no_independent_route(monkeypatch):
+    """vanishes_at and dilate raise in pairs and cycles: a hypothesis that
+    still returns read Z(A)."""
+
+    def forbidden(*args):
+        raise _IndependentRoute
+
+    for mod in (pairs, cycles):
+        monkeypatch.setattr(mod, "vanishes_at", forbidden)
+        monkeypatch.setattr(mod, "dilate", forbidden, raising=False)
+
+
+def _old_hypotheses(a, partner):
+    """Each hypothesis by the former route: fresh dilates, folds and divisions
+    (the package-level vanishes_at and dilate, which the fixture leaves alone).
+    Returns {(test, args): verdict}."""
+    ctx = a.ctx
+    n = ctx.n
+    p, m, q, n_exp = ctx.prime_pair()
+    out = {("decompose", ()): vanishes_at(a, n)}
+    for prime, e in ((p, m), (q, n_exp)):
+        pm = prime**e
+        out[("ma", (prime,))] = all(vanishes_at(a, d) for d in ctx.divisors if d % pm == 0)
+    for d in group(n // q).divisors:
+        collapsed = is_cycle_union(dilate(a, q * d), p)
+        out[("roothunt", (d,))] = collapsed and not vanishes_at(dilate(a, d), n)
+    for prime in (p, q):
+        for d in group(n // (p * q)).divisors:
+            out[("absorption", (d, prime))] = (
+                not vanishes_at(dilate(partner, d), n)
+                and not vanishes_at(a, prime * d)
+                and vanishes_at(a, p * q * d)
+            )
+    return out
+
+
+def _new_hypotheses(a, partner, keys):
+    out = {}
+    for kind, args in keys:
+        if kind == "decompose":
+            try:
+                lam_leung_decompose(a)
+                out[kind, args] = True
+            except PreconditionError:
+                out[kind, args] = False
+            except _IndependentRoute:  # past the precondition, in the empty-part self-check
+                out[kind, args] = True
+        elif kind == "ma":
+            out[kind, args] = ma_lemma_check(a, *args)
+        elif kind == "roothunt":
+            out[kind, args] = roothunt_check(a, *args) is not None
+        else:
+            try:
+                out[kind, args] = classify_absorption(a, *args, a=partner).hypothesis_held
+            except InvariantViolation:  # the dichotomy is asserted only under the hypothesis
+                out[kind, args] = True
+    return out
+
+
+def _assert_same_hypotheses(sets, partners):
+    held = {}
+    for a, partner in zip(sets, partners):
+        old = _old_hypotheses(a, partner)
+        assert _new_hypotheses(a, partner, old) == old, a
+        for key, verdict in old.items():
+            held[key[0]] = held.get(key[0], 0) + verdict
+    return held
+
+
+def test_hypotheses_read_the_zero_set_on_every_subset_of_z12(no_independent_route):
+    sets = [coeffs(12, [(mask >> x) & 1 for x in range(12)]) for mask in range(1 << 12)]
+    held = _assert_same_hypotheses(sets, sets[1:] + sets[:1])
+    assert all(held[k] > 0 for k in ("decompose", "ma", "roothunt", "absorption"))
+
+
+@pytest.mark.parametrize("n", [72, 200])
+def test_hypotheses_read_the_zero_set_on_seeded_sets(n, no_independent_route):
+    rng = random.Random(n)
+    p, _m, q, _n = group(n).prime_pair()
+    sets = []
+    for _ in range(60):
+        # one to three p-cycles, q-cycles or single points
+        vec = [0] * n
+        for prime in rng.choices((p, q, 1), k=rng.randint(1, 3)):
+            base = rng.randrange(n)
+            for j in range(prime):
+                vec[(base + j * (n // prime)) % n] = 1
+        sets.append(coeffs(n, vec))
+    held = _assert_same_hypotheses(sets, sets[::-1])
+    assert all(held[k] > 0 for k in ("decompose", "ma", "roothunt", "absorption"))
+
+
+def test_hypotheses_on_the_empty_multiset(no_independent_route):
+    # zero_set raises on the empty multiset, which vanishes everywhere; the
+    # CLI tests pin `decompose '6:{}'`, which reaches the independent route
+    empty = mm(6, [])
+    assert ma_lemma_check(empty, 2) is True
+    assert roothunt_check(empty, 1) is None
+    assert classify_absorption(empty, 1, 2, a=mm(6, [0, 1])).hypothesis_held is False
+    assert classify_absorption(mm(6, [0, 1]), 1, 2, a=empty).hypothesis_held is False

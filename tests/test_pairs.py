@@ -194,6 +194,11 @@ def test_classify_absorption_hypothesis_assertion_path():
     assert any(v == "absorbed" for v, _ in rep.verdicts)
 
 
+def test_classify_absorption_rejects_a_partner_from_another_group():
+    with pytest.raises(DomainError):
+        classify_absorption(mm(12, [0, 2, 4]), 1, 2, a=mm(24, [0, 2, 4]))
+
+
 def test_k_set_examples():
     assert k_set(mm(12, [0, 6]), 2) == frozenset({0})
     assert k_set(mm(12, [0, 6]), 3) == frozenset({0})

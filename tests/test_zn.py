@@ -28,7 +28,7 @@ from spectile import (
     ZeroSet,
 )
 from spectile import cm, zn
-from spectile.zn import phi_product, poly_divmod, poly_mul, poly_trim
+from spectile.zn import phi_product, poly_mul, poly_trim
 
 import oracles
 
@@ -246,8 +246,8 @@ def test_fold_agrees_with_big_ring_division(a):
     # vector by Phi_d must give the same verdict, as must the sympy oracle
     for d in divisors(a.n):
         folded_route = vanishes_at(a, d)
-        _, rem = poly_divmod(list(a.coeffs), cyclotomic(d).coeffs)
-        assert folded_route == (not rem)
+        _, rem = oracles.naive_divmod(a.coeffs, cyclotomic(d).coeffs)
+        assert folded_route == (not any(rem))
         assert folded_route == oracles.vanishes(a.coeffs, d)
 
 
@@ -362,8 +362,8 @@ def test_fold_route_matches_big_ring_up_to_60():
             mass = rng.randint(1, 8)
             a = MaskMultiset.from_elements(n, [rng.randrange(n) for _ in range(mass)])
             for d in divisors(n):
-                _, rem = poly_divmod(list(a.coeffs), cyclotomic(d).coeffs)
-                assert vanishes_at(a, d) == (not rem)
+                _, rem = oracles.naive_divmod(a.coeffs, cyclotomic(d).coeffs)
+                assert vanishes_at(a, d) == (not any(rem))
 
 
 def test_factored_context_rejects_repeated_prime():
@@ -531,7 +531,8 @@ def test_zero_set_neither_folds_nor_divides(monkeypatch):
     monkeypatch.setattr(zn, "_cyclo_divides", forbidden)
     monkeypatch.setattr(zn, "poly_mod_xn_minus_1", forbidden)
     monkeypatch.setattr(zn, "cyclotomic", forbidden)
-    monkeypatch.setattr(zn, "poly_divmod", forbidden)
+    monkeypatch.setattr(zn, "_binomial_quotient", forbidden)
+    monkeypatch.setattr(zn, "_mobius_exponents", forbidden)
     a = mm(12, [0, 1, 6, 7])
     assert zero_set(a).vanishing_divisors == {2, 4, 12}
     with pytest.raises(AssertionError, match="division route"):
@@ -715,3 +716,49 @@ def test_divisor_list_is_the_group_context_list():
         assert divisors(n) is group(n).divisors
     with pytest.raises(DomainError):
         divisors(0)
+
+
+def _seeded_multisets(rng, d):
+    """Three multisets whose folds mod X^d - 1 are tested: a few random points
+    of Z_d, a union of weighted cosets of Z_d, one per prime of d (so it
+    vanishes at every order but 1), with one stray point half of the time,
+    and a few random points of Z_2d."""
+    sparse = [0] * d
+    for _ in range(rng.randint(1, 6)):
+        sparse[rng.randrange(d)] += 1
+    cosets = [0] * d
+    for p, _ in group(d).factorization:
+        base, weight = rng.randrange(d), rng.randint(1, 3)
+        for j in range(p):
+            cosets[(base + j * (d // p)) % d] += weight
+    if rng.random() < 0.5:
+        cosets[rng.randrange(d)] += 1
+    wide = MaskMultiset.from_elements(2 * d, rng.sample(range(2 * d), min(2 * d, rng.randint(1, 4))))
+    return MaskMultiset.from_coeffs(d, sparse), MaskMultiset.from_coeffs(d, cosets), wide
+
+
+def test_route2_matches_sympy_up_to_400_and_at_1155_and_2310():
+    rng = random.Random(400)
+    verdicts = []
+    for d in [*range(1, 401), 1155, 2310]:
+        for a in _seeded_multisets(rng, d):
+            v = vanishes_at(a, d)
+            assert v == oracles.vanishes(a.coeffs, d), (d, a)
+            verdicts.append(v)
+    assert 150 < verdicts.count(True) < 1000
+
+
+def test_route2_at_30030_matches_closed_forms_and_zero_set():
+    # sympy needs minutes here (Phi_30030 has degree 5,760), so the oracle is
+    # closed form: d is squarefree, so a coset of the subgroup of prime order
+    # p vanishes exactly at the orders p divides, and 1 + X^k exactly at the
+    # orders e with e / gcd(e, k) = 2
+    d = 30030
+    cases = [(mm(d, [0, 1]), lambda e: e == 2), (mm(d, [0, d // 2]), lambda e: e % 2 == 0)]
+    for p in (3, 13):
+        coset = mm(d, [17 + j * (d // p) for j in range(p)])
+        cases.append((coset, lambda e, p=p: e % p == 0))
+    for a, closed_form in cases:
+        za = zero_set(a).vanishing_divisors
+        for e in (2, 3, 26, 39, 1155, 2310, 15015, d):
+            assert vanishes_at(a, e) == closed_form(e) == (e in za), (a, e)
