@@ -4,15 +4,14 @@ Subcommands: analyze, survey, decompose, verify, profile, exclude.
 Exit codes: 0 success/verified, 1 verification-failure verdict, 2 usage or
 parse errors, 3 budget exhaustion, 4 internal error (one `error:` line).
 JSON output is schema-versioned and serialized canonically (sorted keys, tight
-separators) so that byte-identical round trips hold.  `survey` streams records
-task by task; `--resume DIR` keeps `manifest.json` and `task-NNNNNN.jsonl`
-files in DIR, which may be moved between runs.
+separators, `search.dumps`) so that byte-identical round trips hold.  `survey`
+streams records task by task; `--resume DIR` keeps `manifest.json` and
+`task-NNNNNN.jsonl` files in DIR, which may be moved between runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -28,13 +27,9 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _emit(obj, as_json, human_lines):
     if as_json:
-        print(_dumps(obj))
+        print(search.dumps(obj))
     else:
         for line in human_lines:
             print(line)
@@ -194,20 +189,19 @@ def _cmd_survey(args):
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
 
     def sink(rec):
-        line = _dumps(rec)
-        if out_fh is not None:
-            out_fh.write(line + "\n")
-        elif args.json:
-            print(line)
+        print(search.dumps(rec), file=out_fh)  # stdout when out_fh is None
 
     try:
-        result = search.fuglede_survey(group(args.n), opts, record_sink=sink)
+        # without --json or --out no record is printed, so none is serialised
+        result = search.fuglede_survey(
+            group(args.n), opts, record_sink=sink if args.out or args.json else None
+        )
     finally:
         if out_fh is not None:
             out_fh.close()
     summary = result.summary
     if args.json:
-        print(_dumps(summary))
+        print(search.dumps(summary))
     else:
         print(f"survey of Z_{summary['n']}: {summary['orbits_surveyed']}/"
               f"{summary['orbits_total']} orbits, "

@@ -18,6 +18,7 @@ Three layers:
   * the survey: classify every canonical set of a group as spectral / tile /
     both / neither, with witnesses re-verified and exhaustion certificates
     recorded, and collect any spectral non-tile with its full diagnostics.
+    The summary is the fold of the records as they stream, fresh or replayed.
 
 Sets are bitmasks in the hot paths; all arithmetic stays exact.
 """
@@ -29,10 +30,11 @@ import os
 import random
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import get_context
+from pathlib import Path
 
 from . import __version__, cm, pairs
 from .errors import DomainError, InvariantViolation
@@ -436,6 +438,7 @@ class SurveyOptions:
             {
                 "schema": SURVEY_SCHEMA,
                 "version": __version__,
+                "code": _code_digest(),
                 "sizes": sorted(set(self.sizes)) if self.sizes else None,
                 "affine": self.affine,
                 "node_budget": self.node_budget,
@@ -444,6 +447,20 @@ class SurveyOptions:
             },
             sort_keys=True,
         )
+
+
+@lru_cache(maxsize=None)
+def _code_digest():
+    """sha256 of the package's sources, read on first use rather than at import."""
+    import hashlib  # loads OpenSSL: a few MB and ms that only cursor runs need
+    sources = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(b"".join(p.name.encode() + b"\0" + p.read_bytes() + b"\0"
+                                   for p in sources)).hexdigest()
+
+
+def dumps(obj):
+    """The canonical JSON line of a record or report: sorted keys, tight separators."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -558,47 +575,26 @@ def _plan_tasks(n, opts: SurveyOptions):
 
 
 def _run_task(args):
-    """Classify one task's sets; returns (tallies, records) and touches no file."""
+    """Yield one task's records in order; touches no file."""
     n, opts, (kind, k, first) = args
     if kind == "sample":
         reps = _sample_reps(n, k, opts.per_size_limit, opts.seed, opts.affine)
     else:
         reps = _canonical_of_size(n, k, opts.affine, first=first)
-    records = []
-    agg = {
-        "size": k,
-        "surveyed": 0,
-        "spectral": 0,
-        "tiles": 0,
-        "cm_pass": 0,
-        "f_members": [],
-        "unresolved": [],
-        "nonprimitive_spectral_cm": [],
-    }
     for rep in reps:
-        rec = classify_set(rep, n, opts.node_budget)
-        structured = rec["cm"]["t1"] and rec["cm"]["t2"]
-        agg["surveyed"] += 1
-        agg["cm_pass"] += structured
-        if rec["tile"]["verdict"] == "found":
-            agg["tiles"] += 1
-        if rec["spectral"]["verdict"] == "found":
-            agg["spectral"] += 1
-            if not pairs.is_primitive(MaskMultiset.from_elements(group(n), rep)):
-                agg["nonprimitive_spectral_cm"].append(bool(structured))
-        if rec["f_member"]:
-            agg["f_members"].append(list(rep))
-        if "unknown" in (rec["spectral"]["verdict"], rec["tile"]["verdict"]):
-            agg["unresolved"].append(list(rep))
-        records.append(rec)
-    return agg, records
+        yield classify_set(rep, n, opts.node_budget)
+
+
+def _task_list(args):
+    # a worker's records cross the pipe as one list
+    return list(_run_task(args))
 
 
 def _task_results(pending, threads):
-    """(tallies, records) of each pending task, in the order given."""
+    """The records of each pending task, in the order given."""
     if threads > 1 and len(pending) > 1:
         with get_context("fork").Pool(min(threads, len(pending))) as pool:
-            yield from pool.imap(_run_task, pending, chunksize=1)
+            yield from pool.imap(_task_list, pending, chunksize=1)
     else:
         yield from map(_run_task, pending)
 
@@ -607,29 +603,26 @@ def _spool_path(cursor, tid):
     return os.path.join(cursor, f"task-{tid:06d}.jsonl")
 
 
-def _save_task(cursor, n, fingerprint, manifest, tid, records):
-    # the spool file is complete before the manifest names its task
-    with open(_spool_path(cursor, tid), "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
-    tmp = os.path.join(cursor, "manifest.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"n": n, "fingerprint": fingerprint, "tasks": manifest}, fh)
-    os.replace(tmp, os.path.join(cursor, "manifest.json"))
+def _replay(path):
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            yield json.loads(line)
 
 
 def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) -> SurveyResult:
     """Classify every canonical subset of Z_N and certify the spectral/tile split.
 
-    Tasks are sharded by (size, first element); each task's records go to
-    record_sink (or into the returned list) as soon as it comes up in task
-    order, so the order is the same for any worker count.  With cursor_dir
-    set, a finished task's records go to <cursor_dir>/task-NNNNNN.jsonl and
-    its tallies to <cursor_dir>/manifest.json, and a rerun with the same
-    options and code replays them; the directory may be moved.  Budget
-    exhaustion on any set downgrades the summary to incomplete and lists the
-    unresolved sets.
+    Tasks are sharded by (size, first element) and their records come up in
+    task order, the same for any worker count.  Each record, fresh or
+    replayed, passes through one loop that folds it into the summary, spools
+    it and hands it to record_sink (or keeps it in the returned list): the
+    summary is the fold of the records.  With cursor_dir set, a task's
+    records go to <cursor_dir>/task-NNNNNN.jsonl, and once that file is
+    closed <cursor_dir>/manifest.json lists the task as finished; a rerun
+    with the same options and code replays the listed tasks' files.  The
+    directory may be moved.  With one worker, records stream one at a time,
+    so memory does not grow with a task.  Budget exhaustion on any set
+    downgrades the summary to incomplete and lists the unresolved sets.
     """
     opts = options or SurveyOptions()
     n = ctx.n
@@ -638,47 +631,20 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
     t0 = time.time()
     tasks, totals = _plan_tasks(n, opts)
     cursor = opts.cursor_dir
-    fingerprint = opts.fingerprint()
-    manifest = {}
+    finished = set()
     if cursor is not None:
+        fingerprint = opts.fingerprint()
         os.makedirs(cursor, exist_ok=True)
-        path = os.path.join(cursor, "manifest.json")
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                old = json.load(fh)
+        manifest = os.path.join(cursor, "manifest.json")
+        if os.path.exists(manifest):
+            old = json.loads(Path(manifest).read_text(encoding="utf-8"))
             if old.get("n") == n and old.get("fingerprint") == fingerprint:
                 # a task whose spool file is gone is pending again
-                manifest = {int(tid): agg for tid, agg in old["tasks"].items()
-                            if os.path.exists(_spool_path(cursor, int(tid)))}
-    pending = [(n, opts, task) for tid, task in enumerate(tasks) if tid not in manifest]
+                finished = {tid for tid in old["tasks"]
+                            if os.path.exists(_spool_path(cursor, tid))}
+    pending = [(n, opts, task) for tid, task in enumerate(tasks) if tid not in finished]
     records = [] if (opts.collect_records and record_sink is None) else None
     sink = record_sink if records is None else records.append
-
-    done = 0
-    # a sampled size yields at most per_size_limit orbits
-    limit = opts.per_size_limit
-    planned = sum(total if limit is None else min(total, limit) for total in totals.values())
-    replayed = orbits = sum(agg["surveyed"] for agg in manifest.values())
-    with closing(_task_results(pending, opts.threads)) as results:
-        for tid in range(len(tasks)):
-            if tid not in manifest:
-                manifest[tid], recs = next(results)
-                if cursor is not None:
-                    _save_task(cursor, n, fingerprint, manifest, tid, recs)
-                done += 1
-                orbits += manifest[tid]["surveyed"]
-                if opts.progress:
-                    rate = (orbits - replayed) / max(time.time() - t0, 1e-9)
-                    eta = f"{max(planned - orbits, 0) / rate:.0f} s" if rate else "?"
-                    print(f"[survey n={n}] {done}/{len(pending)} tasks, "
-                          f"{orbits}/{planned} orbits, {rate:.0f} orbits/s, ETA {eta}",
-                          flush=True, file=sys.stderr)
-            elif sink is not None:
-                with open(_spool_path(cursor, tid), encoding="utf-8") as fh:
-                    recs = [json.loads(line) for line in fh]
-            if sink is not None:
-                for rec in recs:
-                    sink(rec)
 
     per_size = {
         k: {"surveyed": 0, "total": total, "spectral": 0, "tiles": 0, "cm_pass": 0}
@@ -687,15 +653,54 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
     f_members = []
     unresolved = []
     nonprim = []
-    for tid in range(len(tasks)):
-        agg = manifest[tid]
-        slot = per_size[agg["size"]]
-        for key in ("surveyed", "spectral", "tiles", "cm_pass"):
-            slot[key] += agg[key]
-        f_members += agg["f_members"]
-        unresolved += agg["unresolved"]
-        nonprim += agg["nonprimitive_spectral_cm"]
-    surveyed = sum(s["surveyed"] for s in per_size.values())
+    done = 0
+    # a sampled size yields at most per_size_limit orbits
+    limit = opts.per_size_limit
+    planned = sum(total if limit is None else min(total, limit) for total in totals.values())
+    fresh = orbits = 0
+    with closing(_task_results(pending, opts.threads)) as results:
+        for tid in range(len(tasks)):
+            replay = tid in finished
+            recs = _replay(_spool_path(cursor, tid)) if replay else next(results)
+            with (open(_spool_path(cursor, tid), "w", encoding="utf-8")
+                  if cursor is not None and not replay else nullcontext()) as spool:
+                for rec in recs:
+                    orbits += 1
+                    fresh += not replay
+                    structured = rec["cm"]["t1"] and rec["cm"]["t2"]
+                    spectral, tile = rec["spectral"]["verdict"], rec["tile"]["verdict"]
+                    slot = per_size[rec["size"]]
+                    slot["surveyed"] += 1
+                    slot["cm_pass"] += structured
+                    slot["tiles"] += tile == "found"
+                    slot["spectral"] += spectral == "found"
+                    if spectral == "found" and not pairs.is_primitive(
+                            MaskMultiset.from_elements(ctx, rec["set"])):
+                        nonprim.append(bool(structured))
+                    if rec["f_member"]:
+                        f_members.append(rec["set"])
+                    if "unknown" in (spectral, tile):
+                        unresolved.append(rec["set"])
+                    if spool is not None:
+                        spool.write(dumps(rec) + "\n")
+                    if sink is not None:
+                        sink(rec)
+            if replay:
+                continue
+            if cursor is not None:
+                # the spool file is closed before the manifest names its task
+                finished.add(tid)
+                state = {"n": n, "fingerprint": fingerprint, "tasks": sorted(finished)}
+                Path(manifest + ".tmp").write_text(json.dumps(state), encoding="utf-8")
+                os.replace(manifest + ".tmp", manifest)
+            done += 1
+            if opts.progress:
+                rate = fresh / max(time.time() - t0, 1e-9)
+                eta = f"{max(planned - orbits, 0) / rate:.0f} s" if rate else "?"
+                print(f"[survey n={n}] {done}/{len(pending)} tasks, "
+                      f"{orbits}/{planned} orbits, {rate:.0f} orbits/s, ETA {eta}",
+                      flush=True, file=sys.stderr)
+
     total = sum(s["total"] for s in per_size.values())
     summary = {
         "type": "summary",
@@ -705,14 +710,14 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
         "seed": opts.seed,
         "node_budget": opts.node_budget,
         "per_size_limit": opts.per_size_limit,
-        "orbits_surveyed": surveyed,
+        "orbits_surveyed": orbits,
         "orbits_total": total,
         "per_size": {str(k): v for k, v in sorted(per_size.items())},
         "f_count": len(f_members),
         "f_members": sorted(f_members),
         "unresolved": sorted(unresolved),
         "nonprimitive_spectral_all_structured": all(nonprim),
-        "complete": surveyed == total and not unresolved,
+        "complete": orbits == total and not unresolved,
         "elapsed_s": round(time.time() - t0, 3),
     }
     return SurveyResult(records, summary)

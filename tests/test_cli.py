@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -337,6 +338,21 @@ def test_resume_recomputes_a_task_whose_spool_file_is_gone(tmp_path, capsys, mon
     assert code == 0
     assert records(again) == records(fresh)
     assert seen == lost_sets and lost.exists()
+
+
+def test_human_survey_serialises_no_record(capsys, monkeypatch):
+    # without --json or --out the records are not printed, so no sink is passed
+    argv = ("survey", "--n", "10", "--threads", "1")
+    elapsed = re.compile(r"\([0-9.]+ s\)")
+    _, want, _ = run(capsys, *argv)
+
+    def forbidden(obj):
+        raise AssertionError("serialised a record nobody prints")
+
+    monkeypatch.setattr(search, "dumps", forbidden)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert elapsed.sub("", out) == elapsed.sub("", want)
 
 
 def test_oversized_order_is_a_usage_error(capsys):

@@ -322,7 +322,9 @@ def test_survey_cursor_resume(tmp_path):
     opts = SurveyOptions(collect_records=True, cursor_dir=str(cursor))
     first = fuglede_survey(group(10), opts)
     manifest = json.loads((cursor / "manifest.json").read_text())
-    assert manifest["n"] == 10 and manifest["tasks"]
+    # the manifest lists finished task ids and holds no tallies
+    assert set(manifest) == {"n", "fingerprint", "tasks"} and manifest["n"] == 10
+    assert manifest["tasks"] == list(range(len(search._plan_tasks(10, opts)[0])))
     second = fuglede_survey(group(10), opts)
     assert first.records == second.records
     assert first.summary["f_count"] == second.summary["f_count"] == 0
@@ -529,20 +531,99 @@ def test_survey_fingerprint_names_schema_and_version(tmp_path, monkeypatch):
     fp = json.loads(SurveyOptions().fingerprint())
     assert fp["schema"] == "spectile.survey/1"
     assert fp["version"] == spectile.__version__
-    # a cursor written by another version is recomputed, not merged
+    # the version string stays put across code changes; the sources' digest does not
+    assert re.fullmatch(r"[0-9a-f]{64}", fp["code"])
+    # a cursor written by another version or other code is recomputed, not merged
+    for key, value in (("version", "0.0.0"), ("code", "0" * 64)):
+        cursor = tmp_path / key
+        opts = SurveyOptions(collect_records=True, threads=1, cursor_dir=str(cursor))
+        first = fuglede_survey(group(8), opts)
+        path = cursor / "manifest.json"
+        manifest = json.loads(path.read_text())
+        stale = json.loads(manifest["fingerprint"])
+        stale[key] = value
+        manifest["fingerprint"] = json.dumps(stale, sort_keys=True)
+        path.write_text(json.dumps(manifest))
+        seen = _counting_classify(monkeypatch)
+        again = fuglede_survey(group(8), opts)
+        assert len(seen) == again.summary["orbits_surveyed"] == orbit_count(8)
+        assert again.records == first.records
+
+
+def _fold(n, affine, records):
+    """The summary fields that are counts over the records, recomputed here."""
+    per_size = {
+        str(k): {"surveyed": 0, "total": orbit_count(n, k, affine), "spectral": 0,
+                 "tiles": 0, "cm_pass": 0}
+        for k in range(1, n + 1)
+    }
+    f_members, unresolved = [], []
+    for rec in records:
+        slot = per_size[str(len(rec["set"]))]
+        verdicts = (rec["spectral"]["verdict"], rec["tile"]["verdict"])
+        slot["surveyed"] += 1
+        slot["spectral"] += verdicts[0] == "found"
+        slot["tiles"] += verdicts[1] == "found"
+        slot["cm_pass"] += rec["cm"]["t1"] and rec["cm"]["t2"]
+        if verdicts == ("found", "none"):
+            f_members.append(rec["set"])
+        if "unknown" in verdicts:
+            unresolved.append(rec["set"])
+    complete = not unresolved and all(s["surveyed"] == s["total"] for s in per_size.values())
+    return {"per_size": per_size, "f_members": sorted(f_members),
+            "unresolved": sorted(unresolved), "complete": complete}
+
+
+def _folded_fields(summary):
+    return {key: summary[key] for key in ("per_size", "f_members", "unresolved", "complete")}
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_survey_summary_is_the_fold_of_its_records(tmp_path, affine):
+    for n in range(1, 15):
+        cursor = str(tmp_path / f"{affine}-{n}")
+        opts = dict(affine=affine, collect_records=True, cursor_dir=cursor)
+        fresh = fuglede_survey(group(n), SurveyOptions(threads=1, **opts))
+        resumed = fuglede_survey(group(n), SurveyOptions(threads=1, **opts))
+        assert resumed.records == fresh.records
+        for res in (fresh, resumed):
+            assert _folded_fields(res.summary) == _fold(n, affine, res.records)
+    two = fuglede_survey(group(14), SurveyOptions(affine=affine, threads=2, collect_records=True))
+    assert _folded_fields(two.summary) == _fold(14, affine, two.records)
+
+
+def test_resumed_summary_reads_the_spooled_records(tmp_path, monkeypatch):
+    # the summary of a resumed survey comes from the spool files, not a tally
     cursor = tmp_path / "cursor"
-    opts = SurveyOptions(collect_records=True, threads=1, cursor_dir=str(cursor))
-    first = fuglede_survey(group(8), opts)
-    path = cursor / "manifest.json"
-    manifest = json.loads(path.read_text())
-    stale = json.loads(manifest["fingerprint"])
-    stale["version"] = "0.0.0"
-    manifest["fingerprint"] = json.dumps(stale, sort_keys=True)
-    path.write_text(json.dumps(manifest))
+    opts = SurveyOptions(threads=1, collect_records=True, cursor_dir=str(cursor))
+    first = fuglede_survey(group(10), opts)
+    assert first.summary["complete"] and not first.summary["unresolved"]
+    spool = cursor / "task-000003.jsonl"
+    lines = spool.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["tile"]["verdict"] = "unknown"
+    lines[0] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    spool.write_text("\n".join(lines) + "\n")
     seen = _counting_classify(monkeypatch)
-    again = fuglede_survey(group(8), opts)
-    assert len(seen) == again.summary["orbits_surveyed"] == orbit_count(8)
-    assert again.records == first.records
+    again = fuglede_survey(group(10), opts)
+    assert seen == []
+    assert again.summary["unresolved"] == [rec["set"]]
+    assert again.summary["complete"] is False
+    assert _folded_fields(again.summary) == _fold(10, False, again.records)
+
+
+def test_one_worker_survey_memory_does_not_grow_with_the_task():
+    # size 9 of Z_18 is 2,704 orbits in 10 tasks; records go to a sink that
+    # keeps none, so none may be held until its task ends
+    opts = SurveyOptions(sizes=(9,), threads=1, collect_records=False)
+    tracemalloc.start()
+    try:
+        summary = fuglede_survey(group(18), opts, record_sink=lambda rec: None).summary
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary["orbits_surveyed"] == orbit_count(18, 9)
+    assert peak < 1.5 * 2**20
 
 
 def test_planning_draws_no_samples(monkeypatch):
