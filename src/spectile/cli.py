@@ -15,6 +15,7 @@ import argparse
 import os
 import re
 import sys
+from contextlib import nullcontext
 
 from . import cm, cycles, pairs, search
 from .errors import DomainError, InvariantViolation, ParseError, PreconditionError, SpectileError
@@ -175,6 +176,11 @@ def _cmd_exclude(args):
 
 
 def _cmd_survey(args):
+    # an empty plan would certify completeness over nothing
+    if args.size is not None and not 1 <= args.size <= args.n:
+        raise DomainError(f"--size {args.size} lies outside 1..{args.n}")
+    if args.limit_per_size is not None and args.limit_per_size < 1:
+        raise DomainError("--limit-per-size must be at least 1")
     opts = search.SurveyOptions(
         sizes=(args.size,) if args.size is not None else None,
         affine=args.affine,
@@ -186,19 +192,23 @@ def _cmd_survey(args):
         cursor_dir=args.resume,
         progress=not args.json,
     )
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
+    # a path that cannot be written is a usage error; a failure later in the run is not
+    try:
+        if args.resume is not None:
+            os.makedirs(args.resume, exist_ok=True)
+        out_fh = open(args.out, "w", encoding="utf-8") if args.out is not None else None
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
     def sink(rec):
         print(search.dumps(rec), file=out_fh)  # stdout when out_fh is None
 
-    try:
+    with out_fh or nullcontext():
         # without --json or --out no record is printed, so none is serialised
         result = search.fuglede_survey(
-            group(args.n), opts, record_sink=sink if args.out or args.json else None
+            group(args.n), opts, record_sink=sink if out_fh or args.json else None
         )
-    finally:
-        if out_fh is not None:
-            out_fh.close()
     summary = result.summary
     if args.json:
         print(search.dumps(summary))

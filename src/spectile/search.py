@@ -12,8 +12,10 @@ Three layers:
   * witness searches: spectra are cliques of size |A| (containing 0) in the
     graph on {0} union Z(A) with edges x ~ y iff x - y lies in Z(A); tiling
     complements are exact covers built by always covering the first uncovered
-    cell.  Both searches are exhaustive within a node budget and distinguish
-    "none" (full exhaustion) from "unknown" (budget ran out).
+    cell, with one mask of covered cells and O(N + depth) memory.  Both are
+    loops over an explicit stack, so no recursion limit bounds their depth;
+    both are exhaustive within a node budget and distinguish "none" (full
+    exhaustion) from "unknown" (budget ran out).
 
   * the survey: classify every canonical set of a group as spectral / tile /
     both / neither, with witnesses re-verified and exhaustion certificates
@@ -245,10 +247,6 @@ class SearchOutcome:
         }
 
 
-class _OutOfBudget(Exception):
-    pass
-
-
 def _rot(mask, t, n, full):
     t %= n
     return ((mask << t) | (mask >> (n - t))) & full if t else mask
@@ -307,78 +305,68 @@ def _clique_search(n, k, vanishing_divisors, budget):
             m |= 1 << pos_of[low.bit_length() - 1]
             w ^= low
         adj_pos[pos_of[v]] = m
-    nodes = 0
-    chosen = []
-
-    def expand(pmask, size):
-        nonlocal nodes
+    # a level per clique vertex, from 0: the vertex and the candidates left after it
+    stack = [(0, (1 << nverts) - 1)]
+    nodes = 1
+    while stack and nodes <= budget:
+        v, pmask = stack[-1]
+        size = len(stack)
+        if not pmask or size + bin(pmask).count("1") < k:
+            stack.pop()
+            continue
+        low = pmask & -pmask
+        i = low.bit_length() - 1
+        stack[-1] = v, pmask ^ low
+        if size + 1 == k:
+            return "found", tuple(w for w, _ in stack[1:]) + (order[i],), nodes
         nodes += 1
-        if nodes > budget:
-            raise _OutOfBudget
-        while pmask:
-            if size + bin(pmask).count("1") < k:
-                return False
-            low = pmask & -pmask
-            i = low.bit_length() - 1
-            pmask ^= low
-            chosen.append(order[i])
-            if size + 1 == k:
-                return True
-            if expand(pmask & adj_pos[i], size + 1):
-                return True
-            chosen.pop()
-        return False
-
-    start = (1 << nverts) - 1
-    try:
-        found = expand(start, 1)
-    except _OutOfBudget:
-        return "unknown", (), nodes
-    if not found:
-        return "none", (), nodes
-    return "found", tuple(chosen), nodes
+        stack.append((order[i], pmask & adj_pos[i]))
+    return "unknown" if stack else "none", (), nodes
 
 
 def _tiling_backtrack(a: MaskMultiset, budget, want_all):
+    """(sols, exhausted, nodes) of the exact-cover search for complements of a proper A.
+
+    A level covers its first uncovered cell c with a translate c - x, for x
+    in A in order; it keeps the translate it stands on, c and the index of
+    the next x.
+    """
     n = a.n
-    size = a.mass()
     full = (1 << n) - 1
     amask = a.mask()
     elems = a.support()
-    # translate t of A, built the first time a node reaches it: a search that
-    # ends early never pays for all N of them
-    placements = [0] * n
+    if amask == full:  # A is the whole group, tiled by {0} alone
+        return ([(0,)], True, 1) if budget >= 1 else ([], False, 1)
     sols = []
-    nodes = 0
-
-    def rec(covered, chosen):
-        nonlocal nodes
+    covered = amask  # ORs a translate in on the way down, XORs it out on the way up
+    free = ~covered & full
+    levels = [(0, (free & -free).bit_length() - 1, 0)]
+    nodes = 1
+    while levels and nodes <= budget:
+        t, c, j = levels[-1]
+        while j < len(elems):
+            u = (c - elems[j]) % n
+            j += 1
+            pm = _rot(amask, u, n, full)
+            if pm & covered == 0:
+                break
+        else:
+            covered ^= _rot(amask, levels.pop()[0], n, full)
+            continue
+        levels[-1] = t, c, j
         nodes += 1
         if nodes > budget:
-            raise _OutOfBudget
-        if covered == full:
-            sols.append(tuple(chosen))
-            return not want_all
-        c = (~covered & full)
-        c = (c & -c).bit_length() - 1  # first uncovered cell
-        for aa in elems:
-            t = (c - aa) % n
-            pm = placements[t]
-            if not pm:
-                pm = placements[t] = _rot(amask, t, n, full)
-            if pm & covered == 0:
-                chosen.append(t)
-                if rec(covered | pm, chosen):
-                    return True
-                chosen.pop()
-        return False
-
-    exhausted = True
-    try:
-        rec(amask, [0])
-    except _OutOfBudget:
-        exhausted = False
-    return sols, exhausted, nodes
+            break
+        covered |= pm
+        if covered != full:
+            free = ~covered & full
+            levels.append((u, (free & -free).bit_length() - 1, 0))
+            continue
+        sols.append(tuple(level[0] for level in levels) + (u,))
+        if not want_all:
+            break
+        covered ^= pm
+    return sols, nodes <= budget, nodes
 
 
 def find_tiling_complement(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET) -> SearchOutcome:

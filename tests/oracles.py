@@ -3,8 +3,9 @@
 Everything here recomputes results through a different route than the package
 under test: sympy supplies cyclotomic polynomials and exact remainders, and
 plain itertools enumeration supplies spectra, tilings, orbit counts and the
-generate-and-filter orbit enumeration that the necklace walk replaced.
-Deliberately slow and simple.
+generate-and-filter orbit enumeration that the necklace walk replaced, and the
+recursive clique and exact-cover searches are the references for the flat
+loops that replaced them.  Deliberately slow and simple.
 """
 
 import math
@@ -13,6 +14,8 @@ from itertools import combinations
 
 import sympy
 from sympy.abc import x
+
+from spectile.zn import ZeroSet, group
 
 
 @lru_cache(maxsize=None)
@@ -271,3 +274,92 @@ def phi_power_product(base, n, factors):
                 nxt[(i + j * t) % n] += a * c
         out = nxt
     return tuple(out)
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def _rot(mask, t, n, full):
+    t %= n
+    return ((mask << t) | (mask >> (n - t))) & full if t else mask
+
+
+def clique_search_recursive(n, k, vanishing_divisors, budget):
+    """search._clique_search as a recursive closure that raises on a spent budget."""
+    verts = sorted(ZeroSet(group(n), vanishing_divisors).residues())
+    if 1 + len(verts) < k:
+        return "none", (), 0
+    full = (1 << n) - 1
+    zmask = 0
+    for v in verts:
+        zmask |= 1 << v
+    adj = {v: _rot(zmask, v, n, full) & zmask for v in verts}
+    order = sorted(verts, key=lambda v: (bin(adj[v]).count("1"), v))
+    pos_of = {v: i for i, v in enumerate(order)}
+    adj_pos = [0] * len(order)
+    for v in verts:
+        adj_pos[pos_of[v]] = sum(1 << pos_of[w] for w in verts if adj[v] >> w & 1)
+    nodes = 0
+    chosen = []
+
+    def expand(pmask, size):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _OutOfBudget
+        while pmask:
+            if size + bin(pmask).count("1") < k:
+                return False
+            low = pmask & -pmask
+            i = low.bit_length() - 1
+            pmask ^= low
+            chosen.append(order[i])
+            if size + 1 == k:
+                return True
+            if expand(pmask & adj_pos[i], size + 1):
+                return True
+            chosen.pop()
+        return False
+
+    try:
+        found = expand((1 << len(order)) - 1, 1)
+    except _OutOfBudget:
+        return "unknown", (), nodes
+    return ("found", tuple(chosen), nodes) if found else ("none", (), nodes)
+
+
+def tiling_backtrack_recursive(a, budget, want_all):
+    """search._tiling_backtrack as a recursive closure that raises on a spent budget."""
+    n = a.n
+    full = (1 << n) - 1
+    amask = a.mask()
+    elems = a.support()
+    sols = []
+    nodes = 0
+
+    def rec(covered, chosen):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _OutOfBudget
+        if covered == full:
+            sols.append(tuple(chosen))
+            return not want_all
+        c = ~covered & full
+        c = (c & -c).bit_length() - 1  # first uncovered cell
+        for aa in elems:
+            t = (c - aa) % n
+            pm = _rot(amask, t, n, full)
+            if pm & covered == 0:
+                chosen.append(t)
+                if rec(covered | pm, chosen):
+                    return True
+                chosen.pop()
+        return False
+
+    try:
+        rec(amask, [0])
+    except _OutOfBudget:
+        return sols, False, nodes
+    return sols, True, nodes

@@ -186,6 +186,31 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag, path", [("--resume", "file"), ("--out", "missing/x"), ("--out", "")])
+def test_survey_unwritable_path_is_a_usage_error(tmp_path, capsys, flag, path):
+    (tmp_path / "file").write_text("")
+    target = str(tmp_path / path) if path else path
+    code, out, err = run(capsys, "survey", "--n", "8", "--threads", "1", flag, target)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [("--size", "0"), ("--size", "9"), ("--limit-per-size", "0")])
+def test_survey_of_an_empty_plan_is_a_usage_error(capsys, argv):
+    # no orbit planned would read as a complete survey of nothing
+    code, out, err = run(capsys, "survey", "--json", "--n", "8", "--threads", "1", *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_analyze_of_a_deep_cover_search(capsys):
+    # the complement search for {0, 2} goes 2,000 levels deep before it
+    # fails, past the interpreter's recursion limit
+    code, out, _ = run(capsys, "analyze", "--json", "4002:{0,2}")
+    tile = json.loads(out)["tile"]
+    assert code == 0 and (tile["verdict"], tile["nodes"]) == ("none", 3999)
+
+
 def test_analyze_budget_exhaustion_exit(capsys):
     # {0,8} in Z_24 fails the structure conditions, so the complement search
     # really runs, and a one-node budget cannot finish it
@@ -305,7 +330,8 @@ def test_escaping_library_error_exits_2(capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("exc", [InvariantViolation("forged"), RuntimeError("forged")])
+@pytest.mark.parametrize("exc", [InvariantViolation("forged"), RuntimeError("forged"),
+                                 OSError("forged")])
 def test_crash_exits_4_not_1(capsys, monkeypatch, exc):
     # exit 1 means "spectral non-tile found"; a crash must not read as that
     def broken(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Canonical enumeration, witness searches, and the survey machinery."""
 
+import gc
 import hashlib
 import json
 import re
@@ -183,6 +184,35 @@ def test_tiling_search_builds_only_the_translates_it_reaches():
         tracemalloc.stop()
     assert (out.verdict, out.nodes) == ("none", 1)
     assert peak < 4 * 2**20
+
+
+def test_deep_cover_search_keeps_one_mask():
+    # {0, 2} cannot tile Z_20002 (10001 is odd), which the search learns
+    # 10,000 levels deep: past the interpreter's recursion limit, and 25 MB
+    # if every level kept its own N-bit mask
+    a = mm(20002, [0, 2])
+    tracemalloc.start()
+    try:
+        out = find_tiling_complement(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out.verdict, out.nodes) == ("none", 19999)
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_flat_searches_match_the_recursive_references(n):
+    # verdict, witness and node count agree at every budget, spent or not
+    for rep in canonical_sets(n):
+        a = mm(n, rep)
+        vd = zn.zero_set(a).vanishing_divisors
+        for budget in (0, 1, 2, 3, 5, 50, search.DEFAULT_NODE_BUDGET):
+            assert (search._clique_search.__wrapped__(n, len(rep), vd, budget)
+                    == oracles.clique_search_recursive(n, len(rep), vd, budget))
+            for want_all in (False, True):
+                assert (search._tiling_backtrack(a, budget, want_all)
+                        == oracles.tiling_backtrack_recursive(a, budget, want_all))
 
 
 def test_budget_exhaustion_is_reported():
@@ -624,6 +654,22 @@ def test_one_worker_survey_memory_does_not_grow_with_the_task():
         tracemalloc.stop()
     assert summary["orbits_surveyed"] == orbit_count(18, 9)
     assert peak < 1.5 * 2**20
+
+
+def test_surveys_leave_no_garbage_for_the_cyclic_collector():
+    # a reference cycle per search (a self-recursive closure is one) waits
+    # for the cyclic collector, and RSS grows between collections
+    search._clique_search.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        fuglede_survey(group(14), SurveyOptions(threads=1, collect_records=False))
+        sampled = SurveyOptions(threads=1, collect_records=False, per_size_limit=50,
+                                node_budget=300_000, seed=1)
+        fuglede_survey(group(27), sampled)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_planning_draws_no_samples(monkeypatch):
