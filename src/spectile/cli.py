@@ -63,7 +63,13 @@ def _parse_factored(text):
         raise SystemExit(EXIT_USAGE) from exc
 
 
+def _check_budget(args):
+    if args.budget < 0:
+        raise DomainError("--budget must be at least 0")
+
+
 def _cmd_analyze(args):
+    _check_budget(args)
     a = _parse_set_arg(args.set)
     za = zero_set(a)
     report = cm.check_t1t2(a)
@@ -181,6 +187,9 @@ def _cmd_survey(args):
         raise DomainError(f"--size {args.size} lies outside 1..{args.n}")
     if args.limit_per_size is not None and args.limit_per_size < 1:
         raise DomainError("--limit-per-size must be at least 1")
+    if args.threads < 1:
+        raise DomainError("--threads must be at least 1")
+    _check_budget(args)
     opts = search.SurveyOptions(
         sizes=(args.size,) if args.size is not None else None,
         affine=args.affine,

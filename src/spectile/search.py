@@ -20,7 +20,9 @@ Three layers:
   * the survey: classify every canonical set of a group as spectral / tile /
     both / neither, with witnesses re-verified and exhaustion certificates
     recorded, and collect any spectral non-tile with its full diagnostics.
-    The summary is the fold of the records as they stream, fresh or replayed.
+    A set that fails T1/T2 and has no witness is classified from its tuple
+    alone, with no multiset.  The summary is the fold of the records as
+    they stream, fresh or replayed.
 
 Sets are bitmasks in the hot paths; all arithmetic stays exact.
 """
@@ -38,7 +40,7 @@ from functools import lru_cache
 from multiprocessing import get_context
 from pathlib import Path
 
-from . import __version__, cm, pairs
+from . import __version__, cm, pairs, zn
 from .errors import DomainError, InvariantViolation
 from .zn import MaskMultiset, ZeroSet, group, zero_set
 
@@ -239,12 +241,13 @@ class SearchOutcome:
     budget: int
 
     def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "witness": sorted(self.witness.support()) if self.witness else None,
-            "nodes": self.nodes,
-            "budget": self.budget,
-        }
+        witness = sorted(self.witness.support()) if self.witness else None
+        return _outcome_json(self.verdict, self.nodes, self.budget, witness)
+
+
+def _outcome_json(verdict, nodes, budget, witness=None):
+    """The JSON of a SearchOutcome; classify_set builds it directly when there is no witness."""
+    return {"verdict": verdict, "witness": witness, "nodes": nodes, "budget": budget}
 
 
 def _rot(mask, t, n, full):
@@ -325,16 +328,18 @@ def _clique_search(n, k, vanishing_divisors, budget):
 
 
 def _tiling_backtrack(a: MaskMultiset, budget, want_all):
-    """(sols, exhausted, nodes) of the exact-cover search for complements of a proper A.
+    """(sols, exhausted, nodes) of the exact-cover search for complements of a proper A."""
+    return _cover_search(a.n, a.mask(), a.support(), budget, want_all)
+
+
+def _cover_search(n, amask, elems, budget, want_all):
+    """_tiling_backtrack on the set with bitmask amask and ascending elements elems.
 
     A level covers its first uncovered cell c with a translate c - x, for x
     in A in order; it keeps the translate it stands on, c and the index of
     the next x.
     """
-    n = a.n
     full = (1 << n) - 1
-    amask = a.mask()
-    elems = a.support()
     if amask == full:  # A is the whole group, tiled by {0} alone
         return ([(0,)], True, 1) if budget >= 1 else ([], False, 1)
     sols = []
@@ -373,19 +378,24 @@ def find_tiling_complement(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET) -> Searc
     """Backtracking exact-cover search for a complement T containing 0."""
     if a.is_empty() or not a.is_proper():
         raise DomainError("tiling search needs a nonempty proper set")
-    n = a.n
-    if n % a.mass() != 0:
-        return SearchOutcome("none", None, 0, budget)
-    sols, exhausted, nodes = _tiling_backtrack(a, budget, want_all=False)
-    if sols:
-        witness = MaskMultiset.from_elements(a.ctx, sorted(sols[0]))
-        check = pairs.verify_tiling_pair(a, witness)
-        if not check.ok:
-            raise InvariantViolation("cover search produced a non-complement")
-        return SearchOutcome("found", witness, nodes, budget)
-    if exhausted:
-        return SearchOutcome("none", None, nodes, budget)
-    return SearchOutcome("unknown", None, nodes, budget)
+    verdict, sols, nodes = _first_cover(a.n, a.support(), budget)
+    if verdict != "found":
+        return SearchOutcome(verdict, None, nodes, budget)
+    witness = MaskMultiset.from_elements(a.ctx, sorted(sols[0]))
+    check = pairs.verify_tiling_pair(a, witness)
+    if not check.ok:
+        raise InvariantViolation("cover search produced a non-complement")
+    return SearchOutcome("found", witness, nodes, budget)
+
+
+def _first_cover(n, elems, budget):
+    """(verdict, sols, nodes) of the search for one complement of the proper
+    set with ascending elements elems; none when |A| does not divide n."""
+    if n % len(elems):
+        return "none", [], 0
+    sols, exhausted, nodes = _cover_search(n, sum(1 << x for x in elems), elems, budget,
+                                           want_all=False)
+    return "found" if sols else "none" if exhausted else "unknown", sols, nodes
 
 
 def enumerate_tiling_complements(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET):
@@ -466,22 +476,40 @@ def _shape_forces_structure(ctx):
 
 
 def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
-    """Full classification of one canonical set; returns a JSON-able record."""
+    """Full classification of one canonical set; returns a JSON-able record.
+
+    Z(A), T1/T2 and both search verdicts come from the tuple rep.  Only when
+    T1/T2 hold or a search finds a witness is a MaskMultiset built, seeded
+    with that Z(A), for the constructions, checks and diagnostics.
+    """
     ctx = group(n)
-    a = MaskMultiset.from_elements(ctx, rep)
-    vd = zero_set(a).vanishing_divisors  # computed once; stored on `a` for all below
-    cm_report = cm.check_t1t2(a)
+    za = zn.proper_zero_set(ctx, rep)
+    vd = za.vanishing_divisors
+    k = len(rep)
+    cm_report = cm._structure_report(n, k, vd)
     record = {
         "type": "record",
         "n": n,
         "set": list(rep),
-        "size": len(rep),
+        "size": k,
         "vanishing_divisors": sorted(vd),
         "cm": cm_report.to_json(),
         "dual_spectrum": None,
         "f_member": False,
         "diagnostics": None,
     }
+    if not cm_report.ok:
+        # k > 1 here, since {0} satisfies T1/T2
+        verdict, _, nodes = _clique_search(n, k, vd, node_budget)
+        spectral = _outcome_json(verdict, nodes, node_budget)
+        verdict, _, nodes = _first_cover(n, rep, node_budget)
+        tile = _outcome_json(verdict, nodes, node_budget)
+        if "found" not in (spectral["verdict"], tile["verdict"]):
+            record["spectral"] = spectral
+            record["tile"] = tile
+            return record
+    a = MaskMultiset.from_elements(ctx, rep)
+    object.__setattr__(a, "_zero_set", za)  # zero_set(a) returns it from here on
     if cm_report.ok:
         t = cm.build_tiling_complement_cm(a)
         # either route of the dual certificate returns build_laba_spectrum(a),

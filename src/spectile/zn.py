@@ -20,7 +20,11 @@ Two independent algorithms decide Phi_d | A:
     X^d - 1, since X^d - 1 is the squarefree product of the Phi_e, e | d, and
     every proper e | d divides some d/p.  B_d expands to 2^omega(d) unit terms
     P - Q, packed with F into lanes of big integers, so each divisor costs
-    two integer products, one mask and one shift per product;
+    two integer products, one mask and one shift per product.  These blocks
+    are linear in A, so a lane table, built on first use per
+    (N, mass width), holds the blocks of each {x} side by side in one row;
+    proper_zero_set() sums its elements' rows, and d vanishes iff d's
+    block of FP ^ FQ is zero;
   * vanishes_at() folds A mod X^d - 1 and tests F * N- for exact division
     by N+, where N+ and N- are the binomial products with Phi_d * N- = N+
     (Moebius inversion), one pass per binomial; the same kernel builds Phi_d.
@@ -34,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from operator import add, sub
 
 from .errors import DomainError, InvariantViolation, ParseError
@@ -469,32 +473,82 @@ def _packed_binomials(d: int, mass_bits: int) -> tuple:
     return sum(1 << (w * x) for x in pos), sum(1 << (w * x) for x in neg), w
 
 
+@lru_cache(maxsize=1 << 10)
+def _lane_layout(n: int, mass_bits: int) -> tuple:
+    """(d, P, Q, w, span, low) per divisor d > 1 of n, (P, Q, w) from
+    _packed_binomials: d's block is d lanes of w bits, span bits under low."""
+    out = []
+    for d in group(n).divisors[1:]:
+        pos, neg, w = _packed_binomials(d, mass_bits)
+        out.append((d, pos, neg, w, w * d, (1 << w * d) - 1))
+    return tuple(out)
+
+
+def _lane_blocks(n, terms, mass_bits):
+    """(d, FP, FQ) per divisor d > 1 of n: the fold F of the terms (x, c) mod
+    X^d - 1 times P and times Q, folded once mod X^d - 1.  Phi_d | A iff FP
+    and FQ agree; both are linear in the terms and no lane carries."""
+    for d, pos, neg, w, span, low in _lane_layout(n, mass_bits):
+        f = sum([c << (w * (x % d)) for x, c in terms])
+        p, q = f * pos, f * neg
+        yield d, (p & low) + (p >> span), (q & low) + (q >> span)
+
+
+def _agreeing(ctx, blocks) -> ZeroSet:
+    """Z(A): the divisors whose two blocks from _lane_blocks agree."""
+    return ZeroSet(ctx, frozenset([d for d, p, q in blocks if p == q]))
+
+
+# Past this many bits of rows, proper_zero_set multiplies per call instead.
+_LANE_TABLE_BITS = 1 << 23
+
+
+@lru_cache(maxsize=1 << 4)
+def _lane_table(n: int, mass_bits: int):
+    """(rows, width, masks), or None past _LANE_TABLE_BITS.  Row x holds the
+    FP blocks of {x} side by side in its low `width` bits and its FQ blocks
+    above them; masks pairs each d with the mask of d's low block."""
+    layout = _lane_layout(n, mass_bits)
+    spans = [span for _, _, _, _, span, _ in layout]
+    width = sum(spans)
+    if 2 * n * width > _LANE_TABLE_BITS:
+        return None
+    shifts = list(accumulate(spans, initial=0))
+    masks = tuple((d, low << at) for (d, *_, low), at in zip(layout, shifts))
+    rows = tuple(sum((p | q << width) << at for (_, p, q), at in
+                     zip(_lane_blocks(n, ((x, 1),), mass_bits), shifts)) for x in range(n))
+    return rows, width, masks
+
+
+def proper_zero_set(ctx: GroupContext, elements) -> ZeroSet:
+    """Z(A) of the proper set of the distinct residues `elements` (each in
+    0..N-1), with no MaskMultiset: the sum of their _lane_table rows holds
+    A's blocks, so Z(A) is one sum and one XOR, then one AND per divisor."""
+    n = ctx.n
+    mass_bits = len(elements).bit_length()
+    table = _lane_table(n, mass_bits)
+    if table is None:
+        return _agreeing(ctx, _lane_blocks(n, [(x, 1) for x in elements], mass_bits))
+    rows, width, masks = table
+    s = sum(map(rows.__getitem__, elements))
+    diff = s ^ s >> width  # FP ^ FQ in the low width bits
+    return ZeroSet(ctx, frozenset([d for d, mask in masks if not diff & mask]))
+
+
 def zero_set(a: MaskMultiset) -> ZeroSet:
     """All divisors d > 1 of N with Phi_d | A (equivalently A(zeta_d) = 0).
 
-    This is the one place Z(A) is computed.  Per divisor d, A is packed into
-    lanes as its fold F mod X^d - 1, and Phi_d | A exactly when F * P and
-    F * Q, folded once mod X^d - 1, agree lane by lane (P - Q is the product
-    of the X^{d/p} - 1; see the module docstring).  The result is stored on
-    the multiset itself, which is frozen, so it can never go stale; every
-    later call on the same instance returns the same ZeroSet object.
+    This is the one place Z(A) of a multiset is computed, by _lane_blocks
+    with no table.  The result is stored on the multiset itself, which is
+    frozen, so it can never go stale; every later call on the same instance
+    returns the same ZeroSet object.
     """
     za = a.__dict__.get("_zero_set")
     if za is None:
         if a.is_empty():
             raise DomainError("zero set of the empty multiset is undefined")
         terms = [(x, c) for x, c in enumerate(a.coeffs) if c]
-        mass_bits = a.mass().bit_length()
-        vd = []
-        for d in a.ctx.divisors[1:]:
-            pos, neg, w = _packed_binomials(d, mass_bits)
-            f = sum([c << (w * (x % d)) for x, c in terms])
-            span = w * d
-            low = (1 << span) - 1
-            fp, fn = f * pos, f * neg
-            if (fp & low) + (fp >> span) == (fn & low) + (fn >> span):
-                vd.append(d)
-        za = ZeroSet(a.ctx, frozenset(vd))
+        za = _agreeing(a.ctx, _lane_blocks(a.n, terms, a.mass().bit_length()))
         object.__setattr__(a, "_zero_set", za)
     return za
 

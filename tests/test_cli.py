@@ -203,6 +203,19 @@ def test_survey_of_an_empty_plan_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--budget", "-1", "12:{0,1,3}"),
+    ("survey", "--n", "8", "--threads", "1", "--budget", "-1"),
+    ("survey", "--n", "8", "--threads", "0"),
+    ("survey", "--n", "8", "--threads", "-2"),
+])
+def test_negative_budget_or_no_worker_is_a_usage_error(capsys, argv):
+    # a negative budget used to survey everything and exit 3; zero workers ran serially
+    code, out, err = run(capsys, argv[0], "--json", *argv[1:])
+    assert code == 2 and not out
+    assert err.startswith("error: --") and len(err.strip().splitlines()) == 1
+
+
 def test_analyze_of_a_deep_cover_search(capsys):
     # the complement search for {0, 2} goes 2,000 levels deep before it
     # fails, past the interpreter's recursion limit

@@ -3,7 +3,10 @@
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -440,6 +443,30 @@ def test_classify_set_computes_the_zero_set_once(monkeypatch, rep, passes):
     assert rec["vanishing_divisors"] == sorted(made[0][1])
 
 
+def test_classify_set_builds_no_multiset_without_structure_or_witness(monkeypatch):
+    made = []
+    real = MaskMultiset.__post_init__
+
+    def counting(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(MaskMultiset, "__post_init__", counting)
+    rec = search.classify_set((0, 1, 3), 12)
+    assert not rec["cm"]["t1"] and rec["spectral"]["verdict"] == rec["tile"]["verdict"] == "none"
+    assert made == []
+    # a set that passes T1/T2 needs the constructions, and so a multiset
+    search.classify_set((0, 1, 6, 7), 12)
+    assert made and made[0].support() == (0, 1, 6, 7)
+
+
+def test_lane_table_is_not_built_at_import():
+    code = ("import spectile; from spectile import zn; "
+            "assert zn._lane_table.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
 @pytest.mark.parametrize("n, rep", [(12, (0, 1, 6, 7)), (36, (0, 1, 18, 19))])
 def test_classify_set_builds_the_laba_spectrum_once(monkeypatch, n, rep):
     # Z_12 certifies by the dilation reduction, Z_36 (two repeated primes)
@@ -776,6 +803,27 @@ def test_survey_outputs_match_golden_digest(affine):
         for obj in result.records + [_without_elapsed(result.summary)]:
             h.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
     assert h.hexdigest() == SURVEY_DIGESTS[affine]
+
+
+# sha256 of the record lines (search.dumps) as a one-worker survey streams
+# them to its sink, then its summary without elapsed_s, for translation and
+# then affine surveys of N = 1..14; computed before classify_set read Z(A)
+# from the lane table
+STREAMED_DIGEST = "3cffb4bb6593c12a5c3495b8326dffb7c3483bc6f9dccdf9301ca4fac00db5bb"
+
+
+def test_streamed_survey_records_match_golden_digest():
+    h = hashlib.sha256()
+
+    def sink(rec):
+        h.update(search.dumps(rec).encode() + b"\n")
+
+    for affine in (False, True):
+        for n in range(1, 15):
+            opts = SurveyOptions(threads=1, affine=affine, collect_records=False)
+            summary = fuglede_survey(group(n), opts, record_sink=sink).summary
+            h.update(search.dumps(_without_elapsed(summary)).encode() + b"\n")
+    assert h.hexdigest() == STREAMED_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from spectile import (
     InvariantViolation,
     MaskMultiset,
     ParseError,
+    canonical_sets,
     cyclic_product,
     cyclotomic,
     difference_set,
@@ -550,6 +551,64 @@ def test_zero_set_matches_division_on_coset_unions_at_210_and_2310():
             assert zero_set(a).vanishing_divisors == expected
             sizes.add(len(expected))
         assert 0 in sizes and len(sizes) >= 4
+
+
+# ---------------------------------------------------------------------------
+# the lane table behind proper_zero_set: zero_set's blocks, one row per residue
+
+
+def test_lane_table_matches_zero_set_and_division_on_every_subset_up_to_16():
+    for n in range(1, 17):
+        ctx = group(n)
+        ds = [d for d in divisors(n) if d > 1]
+        for bits in range(1, 1 << n):
+            rep = tuple(i for i in range(n) if bits >> i & 1)
+            a = mm(n, rep)
+            za = zn.proper_zero_set(ctx, rep)
+            assert za == zero_set(a)
+            assert za.vanishing_divisors == {d for d in ds if vanishes_at(a, d)}
+
+
+def test_lane_table_matches_zero_set_on_every_canonical_set_of_z20():
+    ctx = group(20)
+    count = 0
+    for rep in canonical_sets(20):
+        assert zn.proper_zero_set(ctx, rep) == zero_set(mm(20, rep))
+        count += 1
+    assert count == 52_487
+
+
+def test_lane_table_rows_are_linear_on_seeded_multisets():
+    # a multiset's blocks are its rows weighted by multiplicity, which is the
+    # linearity proper_zero_set relies on; it reads off zero_set's divisors
+    rng = random.Random(24_000_558)
+    checked = 0
+    while checked < 300:
+        n = rng.choice([12, 18, 20, 24, 30, 36])
+        coeffs = [rng.choice([0, 0, 0, 1, 2, 5]) for _ in range(n)]
+        if max(coeffs) < 2:
+            continue
+        a = MaskMultiset.from_coeffs(n, coeffs)
+        mass_bits = a.mass().bit_length()
+        rows, width, masks = zn._lane_table(n, mass_bits)
+        total = sum(c * rows[x] for x, c in enumerate(coeffs))
+        agree = {d for d, mask in masks if not (total ^ total >> width) & mask}
+        assert agree == zero_set(a).vanishing_divisors == {
+            d for d in divisors(n)[1:] if vanishes_at(a, d)}
+        checked += 1
+
+
+def test_proper_zero_set_past_the_table_bound_multiplies_per_call():
+    # a table at N = 1000 would hold megabytes per mass width; none is built
+    rng = random.Random(1000)
+    ctx = group(1000)
+    for size in (1, 7, 300):
+        rep = tuple(sorted(rng.sample(range(1000), size)))
+        assert zn._lane_table(1000, size.bit_length()) is None
+        assert zn.proper_zero_set(ctx, rep) == zero_set(mm(1000, rep))
+    coset = tuple(range(3, 1000, 10))  # a coset of the subgroup of order 100
+    za = zn.proper_zero_set(ctx, coset)
+    assert za == zero_set(mm(1000, coset)) and len(za.vanishing_divisors) > 5
 
 
 def test_multiset_predicates():
