@@ -269,7 +269,14 @@ def find_spectrum(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET) -> SearchOutcome:
     k = a.mass()
     if k == 1:
         return SearchOutcome("found", MaskMultiset.from_elements(a.ctx, [0]), 0, budget)
-    verdict, chosen, nodes = _clique_search(a.n, k, zero_set(a).vanishing_divisors, budget)
+    return _spectrum_outcome(a, _clique_search(a.n, k, zero_set(a).vanishing_divisors, budget),
+                             budget)
+
+
+def _spectrum_outcome(a, search, budget):
+    """The SearchOutcome of a _clique_search result on A; a found clique is
+    re-verified as a spectrum of A itself."""
+    verdict, chosen, nodes = search
     if verdict != "found":
         return SearchOutcome(verdict, None, nodes, budget)
     witness = MaskMultiset.from_elements(a.ctx, (0,) + chosen)
@@ -378,7 +385,13 @@ def find_tiling_complement(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET) -> Searc
     """Backtracking exact-cover search for a complement T containing 0."""
     if a.is_empty() or not a.is_proper():
         raise DomainError("tiling search needs a nonempty proper set")
-    verdict, sols, nodes = _first_cover(a.n, a.support(), budget)
+    return _tile_outcome(a, _first_cover(a.n, a.support(), budget), budget)
+
+
+def _tile_outcome(a, search, budget):
+    """The SearchOutcome of a _first_cover result on A; a found complement is
+    re-verified against A itself."""
+    verdict, sols, nodes = search
     if verdict != "found":
         return SearchOutcome(verdict, None, nodes, budget)
     witness = MaskMultiset.from_elements(a.ctx, sorted(sols[0]))
@@ -478,9 +491,10 @@ def _shape_forces_structure(ctx):
 def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
     """Full classification of one canonical set; returns a JSON-able record.
 
-    Z(A), T1/T2 and both search verdicts come from the tuple rep.  Only when
+    Z(A), T1/T2 and both searches run once, on the tuple rep.  Only when
     T1/T2 hold or a search finds a witness is a MaskMultiset built, seeded
-    with that Z(A), for the constructions, checks and diagnostics.
+    with that Z(A), for the constructions, the witnesses and their checks,
+    and the diagnostics.
     """
     ctx = group(n)
     za = zn.proper_zero_set(ctx, rep)
@@ -500,13 +514,11 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
     }
     if not cm_report.ok:
         # k > 1 here, since {0} satisfies T1/T2
-        verdict, _, nodes = _clique_search(n, k, vd, node_budget)
-        spectral = _outcome_json(verdict, nodes, node_budget)
-        verdict, _, nodes = _first_cover(n, rep, node_budget)
-        tile = _outcome_json(verdict, nodes, node_budget)
-        if "found" not in (spectral["verdict"], tile["verdict"]):
-            record["spectral"] = spectral
-            record["tile"] = tile
+        spectral = _clique_search(n, k, vd, node_budget)
+        tile = _first_cover(n, rep, node_budget)
+        if "found" not in (spectral[0], tile[0]):
+            record["spectral"] = _outcome_json(spectral[0], spectral[2], node_budget)
+            record["tile"] = _outcome_json(tile[0], tile[2], node_budget)
             return record
     a = MaskMultiset.from_elements(ctx, rep)
     object.__setattr__(a, "_zero_set", za)  # zero_set(a) returns it from here on
@@ -518,8 +530,8 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
         record["spectral"] = {"verdict": "found", "witness": list(dual["spectrum"]), "nodes": 0}
         record["tile"] = {"verdict": "found", "witness": sorted(t.support()), "nodes": 0}
         return record
-    spectral = find_spectrum(a, node_budget)
-    tile = find_tiling_complement(a, node_budget)
+    spectral = _spectrum_outcome(a, spectral, node_budget)
+    tile = _tile_outcome(a, tile, node_budget)
     if tile.verdict == "found" and _shape_forces_structure(ctx):
         raise InvariantViolation(
             f"tile {rep} of Z_{n} fails the structure conditions; impossible"

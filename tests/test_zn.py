@@ -598,19 +598,6 @@ def test_lane_table_rows_are_linear_on_seeded_multisets():
         checked += 1
 
 
-def test_proper_zero_set_past_the_table_bound_multiplies_per_call():
-    # a table at N = 1000 would hold megabytes per mass width; none is built
-    rng = random.Random(1000)
-    ctx = group(1000)
-    for size in (1, 7, 300):
-        rep = tuple(sorted(rng.sample(range(1000), size)))
-        assert zn._lane_table(1000, size.bit_length()) is None
-        assert zn.proper_zero_set(ctx, rep) == zero_set(mm(1000, rep))
-    coset = tuple(range(3, 1000, 10))  # a coset of the subgroup of order 100
-    za = zn.proper_zero_set(ctx, coset)
-    assert za == zero_set(mm(1000, coset)) and len(za.vanishing_divisors) > 5
-
-
 def test_multiset_predicates():
     assert mm(6, [0, 3]).is_proper() and not mm(6, [0, 3]).is_empty()
     assert not MaskMultiset.from_coeffs(3, [0, 2, 0]).is_proper()
