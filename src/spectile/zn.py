@@ -473,17 +473,25 @@ def _packed_binomials(d: int, mass_bits: int) -> tuple:
     return sum(1 << (w * x) for x in pos), sum(1 << (w * x) for x in neg), w
 
 
-def _lane_blocks(n, terms, mass_bits):
-    """(d, span, FP, FQ) per divisor d > 1 of n: the fold F of the terms
-    (x, c) mod X^d - 1 times P and times Q of _packed_binomials, folded once
-    mod X^d - 1 into d lanes, span bits.  Phi_d | A iff FP and FQ agree;
-    both are linear in the terms and no lane carries."""
+@lru_cache(maxsize=1 << 10)
+def _lane_layout(n: int, mass_bits: int) -> tuple:
+    """(d, P, Q, w, span, low) per divisor d > 1 of n, (P, Q, w) from
+    _packed_binomials: d's block is d lanes of w bits, span bits under low."""
+    out = []
     for d in group(n).divisors[1:]:
         pos, neg, w = _packed_binomials(d, mass_bits)
+        out.append((d, pos, neg, w, w * d, (1 << w * d) - 1))
+    return tuple(out)
+
+
+def _lane_blocks(n, terms, mass_bits):
+    """(d, FP, FQ) per divisor d > 1 of n: the fold F of the terms (x, c) mod
+    X^d - 1 times P and times Q, folded once mod X^d - 1.  Phi_d | A iff FP
+    and FQ agree; both are linear in the terms and no lane carries."""
+    for d, pos, neg, w, span, low in _lane_layout(n, mass_bits):
         f = sum([c << (w * (x % d)) for x, c in terms])
-        p, q, span = f * pos, f * neg, w * d
-        low = (1 << span) - 1
-        yield d, span, (p & low) + (p >> span), (q & low) + (q >> span)
+        p, q = f * pos, f * neg
+        yield d, (p & low) + (p >> span), (q & low) + (q >> span)
 
 
 @lru_cache(maxsize=1 << 4)
@@ -491,14 +499,13 @@ def _lane_table(n: int, mass_bits: int):
     """(rows, width, masks).  Row x holds the FP blocks of {x} side by side
     in its low `width` bits and its FQ blocks above them; masks pairs each d
     with the mask of d's low block."""
-    blocks = [list(_lane_blocks(n, ((x, 1),), mass_bits)) for x in range(n)]
-    spans = [span for _, span, _, _ in blocks[0]]
+    layout = _lane_layout(n, mass_bits)
+    spans = [span for _, _, _, _, span, _ in layout]
     width = sum(spans)
     shifts = list(accumulate(spans, initial=0))
-    masks = tuple((d, ((1 << span) - 1) << at)
-                  for (d, span, _, _), at in zip(blocks[0], shifts))
-    rows = tuple(sum((p | q << width) << at for (_, _, p, q), at in zip(row, shifts))
-                 for row in blocks)
+    masks = tuple((d, low << at) for (d, *_, low), at in zip(layout, shifts))
+    rows = tuple(sum((p | q << width) << at for (_, p, q), at in
+                     zip(_lane_blocks(n, ((x, 1),), mass_bits), shifts)) for x in range(n))
     return rows, width, masks
 
 
@@ -516,9 +523,10 @@ def zero_set(a: MaskMultiset) -> ZeroSet:
     """All divisors d > 1 of N with Phi_d | A (equivalently A(zeta_d) = 0).
 
     This is the one place Z(A) of a multiset is computed, by _lane_blocks
-    with no table: d vanishes iff its two blocks agree.  The result is stored on the multiset itself, which is
-    frozen, so it can never go stale; every later call on the same instance
-    returns the same ZeroSet object.
+    with no table: d vanishes iff its two blocks agree.  The result is
+    stored on the multiset itself, which is frozen, so it can never go
+    stale; every later call on the same instance returns the same ZeroSet
+    object.
     """
     za = a.__dict__.get("_zero_set")
     if za is None:
@@ -526,7 +534,7 @@ def zero_set(a: MaskMultiset) -> ZeroSet:
             raise DomainError("zero set of the empty multiset is undefined")
         terms = [(x, c) for x, c in enumerate(a.coeffs) if c]
         blocks = _lane_blocks(a.n, terms, a.mass().bit_length())
-        za = ZeroSet(a.ctx, frozenset([d for d, _, p, q in blocks if p == q]))
+        za = ZeroSet(a.ctx, frozenset([d for d, p, q in blocks if p == q]))
         object.__setattr__(a, "_zero_set", za)
     return za
 
