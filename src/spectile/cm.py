@@ -24,6 +24,7 @@ from itertools import combinations, product
 from .errors import DomainError, InvariantViolation, PreconditionError
 from .zn import (
     MaskMultiset,
+    difference_orders,
     dilate,
     group,
     is_full_group_product,
@@ -180,14 +181,9 @@ def build_laba_spectrum(a: MaskMultiset) -> MaskMultiset:
 
 
 def _assert_spectrum_of(a: MaskMultiset, b: MaskMultiset):
-    za = zero_set(a)
-    supp = b.support()
-    for i, x in enumerate(supp):
-        for y in supp[:i]:
-            if not za.contains(x - y):
-                raise InvariantViolation(
-                    f"constructed spectrum has bad difference {x}-{y} mod {a.n}"
-                )
+    """Every difference order of B is a vanishing divisor of A, and |B| = |A|."""
+    if bad := difference_orders(b) - zero_set(a).vanishing_divisors:
+        raise InvariantViolation(f"constructed spectrum has differences of orders {sorted(bad)} mod {a.n}")
     if a.mass() != b.mass():
         raise InvariantViolation("constructed spectrum has wrong cardinality")
 

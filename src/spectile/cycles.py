@@ -98,7 +98,7 @@ def is_cycle_union(a: MaskMultiset, r: int) -> bool:
     if r not in ctx.primes:
         raise DomainError(f"{r} is not a prime divisor of {ctx.n}")
     step = ctx.n // r
-    return all(a.coeffs[i] == a.coeffs[(i + step) % ctx.n] for i in range(ctx.n))
+    return a.coeffs == a.coeffs[step:] + a.coeffs[:step]
 
 
 def ma_lemma_check(a: MaskMultiset, p: int) -> bool:

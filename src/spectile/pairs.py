@@ -32,6 +32,7 @@ from .errors import DomainError, InvariantViolation, PreconditionError
 from .zn import (
     GroupContext,
     MaskMultiset,
+    difference_orders,
     difference_set,
     dilate,
     is_full_group_product,
@@ -98,28 +99,22 @@ def _require_pair_input(x: MaskMultiset, y: MaskMultiset):
 
 
 def spectral_routes(a: MaskMultiset, b: MaskMultiset):
-    """Both spectral criteria: (zero-set route verdict, root-order route verdict).
+    """Both spectral criteria: (zero-set route, root-order route, witness).
 
-    Route one checks every nonzero difference of B against Z(A) through the
-    divisor-class representation; route two checks that A vanishes at a root
-    of unity of the exact order of each difference.
+    Z(A) is a union of divisor classes, so both read only the orders of B's
+    differences: route one tests them against the stored vanishing divisors,
+    route two by exact division (vanishes_at).  The witness, the first pair
+    of B with its difference outside Z(A), is searched only if route one fails.
     """
     _require_pair_input(a, b)
-    n = a.n
     za = zero_set(a)
-    supp = b.support()
-    orders = set()
-    route1 = True
-    witness = None
-    for i, x in enumerate(supp):
-        for y in supp[:i]:
-            delta = (x - y) % n
-            orders.add(n // math.gcd(delta, n))
-            if not za.contains(delta):
-                route1 = False
-                if witness is None:
-                    witness = (x, y)
+    orders = difference_orders(b)
+    route1 = orders <= za.vanishing_divisors
     route2 = all(vanishes_at(a, d) for d in orders)
+    witness = None
+    if not route1:
+        supp = b.support()
+        witness = next((x, y) for i, x in enumerate(supp) for y in supp[:i] if not za.contains(x - y))
     return route1, route2, witness
 
 

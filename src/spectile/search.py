@@ -108,7 +108,7 @@ def _canonical_of_size(n, k, affine, first=None):
     # per unit u != 1: the key bit and the rotation shift of u*x, indexed by x
     dilations = [([bit[u * x % n] for x in range(n)], [n - u * x % n for x in range(n)])
                  for u in (group(n).units()[1:] if affine else ())]
-    firsts = range(1, n - k + 2) if first is None else [first]
+    firsts = range(1, n // k + 1) if first is None else [first]
     for a1 in firsts:
         for prefix, lo, stop in _necklace_prefixes(n, k, a1):
             if not dilations:
@@ -598,7 +598,7 @@ def _plan_tasks(n, opts: SurveyOptions):
         elif k == 1:
             tasks.append(("enum", k, None))
         else:
-            tasks.extend(("enum", k, a1) for a1 in range(1, n - k + 2))
+            tasks.extend(("enum", k, a1) for a1 in range(1, n // k + 1))
     return tasks, totals
 
 

@@ -71,7 +71,10 @@ def poly_mod_xn_minus_1(c, n):
     """Fold a coefficient sequence into Z[X]/(X^n - 1), as a length-n tuple."""
     if len(c) == n:
         return tuple(c)
-    return tuple([sum(c[i::n]) for i in range(n)])
+    out = [0] * n
+    for i in compress(range(len(c)), c):
+        out[i % n] += c[i]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,7 @@ class MaskMultiset:
     @staticmethod
     def from_coeffs(ctx_or_n, coeffs) -> "MaskMultiset":
         ctx = _dense_context(ctx_or_n)
-        return MaskMultiset(ctx, tuple(int(c) for c in coeffs))
+        return MaskMultiset(ctx, tuple(map(int, coeffs)))
 
     @property
     def n(self):
@@ -307,7 +310,7 @@ class MaskMultiset:
         return sum(self.coeffs)
 
     def support(self):
-        return tuple(a for a, c in enumerate(self.coeffs) if c)
+        return tuple(compress(range(self.n), self.coeffs))
 
     # the multiplicities are nonnegative ints, so the builtins decide these
     def is_proper(self):
@@ -318,11 +321,7 @@ class MaskMultiset:
 
     def mask(self):
         """Support as a bitmask integer (bit a set iff a in supp A)."""
-        m = 0
-        for a, c in enumerate(self.coeffs):
-            if c:
-                m |= 1 << a
-        return m
+        return sum(map((1).__lshift__, self.support()))
 
     def translate(self, t):
         n = self.n
@@ -333,12 +332,8 @@ class MaskMultiset:
         return f"MaskMultiset({self.to_text()!r})"
 
     def to_text(self):
-        parts = []
-        for a, c in enumerate(self.coeffs):
-            if c == 1:
-                parts.append(str(a))
-            elif c > 1:
-                parts.append(f"{a}*{c}")
+        c = self.coeffs
+        parts = [str(a) if c[a] == 1 else f"{a}*{c[a]}" for a in self.support()]
         return f"{self.n}:{{{','.join(parts)}}}"
 
     def to_json(self):
@@ -451,10 +446,8 @@ class ZeroSet:
         return _order_table(self.ctx.n)[x % self.ctx.n] in self.vanishing_divisors
 
     def residues(self) -> frozenset:
-        ords = _order_table(self.ctx.n)
-        return frozenset(
-            x for x in range(self.ctx.n) if ords[x] in self.vanishing_divisors
-        )
+        n = self.ctx.n
+        return frozenset(compress(range(n), map(self.vanishing_divisors.__contains__, _order_table(n))))
 
 
 @lru_cache(maxsize=1 << 10)
@@ -532,7 +525,7 @@ def zero_set(a: MaskMultiset) -> ZeroSet:
     if za is None:
         if a.is_empty():
             raise DomainError("zero set of the empty multiset is undefined")
-        terms = [(x, c) for x, c in enumerate(a.coeffs) if c]
+        terms = [(x, a.coeffs[x]) for x in a.support()]
         blocks = _lane_blocks(a.n, terms, a.mass().bit_length())
         za = ZeroSet(a.ctx, frozenset([d for d, p, q in blocks if p == q]))
         object.__setattr__(a, "_zero_set", za)
@@ -558,9 +551,8 @@ def dilate(a: MaskMultiset, m: int) -> MaskMultiset:
     n = a.n
     m %= n
     out = [0] * n
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out[(i * m) % n] += c
+    for i in a.support():
+        out[i * m % n] += a.coeffs[i]
     return MaskMultiset(a.ctx, tuple(out))
 
 
@@ -580,7 +572,15 @@ def difference_set(a: MaskMultiset) -> frozenset:
         raise DomainError("difference set is defined for proper sets only")
     n = a.n
     supp = a.support()
-    return frozenset((x - y) % n for x in supp for y in supp)
+    return frozenset({(x - y) % n for x in supp for y in supp})
+
+
+def difference_orders(a: MaskMultiset) -> set:
+    """The orders N/gcd(x - y, N) of the differences of supp A, y < x (so
+    x - y needs no mod; y - x has the same order)."""
+    order = _order_table(a.n)
+    supp = a.support()
+    return {order[x - y] for i, x in enumerate(supp) for y in supp[:i]}
 
 
 # ---------------------------------------------------------------------------

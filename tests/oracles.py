@@ -363,3 +363,73 @@ def tiling_backtrack_recursive(a, budget, want_all):
     except _OutOfBudget:
         return sols, False, nodes
     return sols, True, nodes
+
+
+# ---------------------------------------------------------------------------
+# per-coefficient scans of a dense multiset: the references for the
+# builtin-driven scans in zn, cycles and pairs
+
+
+def support_by_scan(coeffs):
+    return tuple(a for a, c in enumerate(coeffs) if c)
+
+
+def mask_by_scan(coeffs):
+    m = 0
+    for a, c in enumerate(coeffs):
+        if c:
+            m |= 1 << a
+    return m
+
+
+def text_by_scan(n, coeffs):
+    parts = []
+    for a, c in enumerate(coeffs):
+        if c == 1:
+            parts.append(str(a))
+        elif c > 1:
+            parts.append(f"{a}*{c}")
+    return f"{n}:{{{','.join(parts)}}}"
+
+
+def residues_by_scan(n, vanishing_divisors):
+    """Z(A) as residues: x is in it iff its order N/gcd(x, N) vanishes."""
+    return frozenset(x for x in range(n) if n // math.gcd(x, n) in vanishing_divisors)
+
+
+def difference_set_by_scan(n, coeffs):
+    supp = support_by_scan(coeffs)
+    return frozenset((x - y) % n for x in supp for y in supp)
+
+
+def is_cycle_union_by_scan(coeffs, n, r):
+    step = n // r
+    return all(coeffs[i] == coeffs[(i + step) % n] for i in range(n))
+
+
+def fold_by_slices(c, n):
+    """c mod X^n - 1 as n slice sums."""
+    return tuple(sum(c[i::n]) for i in range(n))
+
+
+def spectral_routes_per_pair(a, b):
+    """pairs.spectral_routes as one loop over B's pairs, with a gcd and a
+    Z(A) membership test per pair: (route one, route two, first bad pair)."""
+    from spectile.zn import vanishes_at, zero_set
+
+    n = a.n
+    za = zero_set(a)
+    supp = support_by_scan(b.coeffs)
+    orders = set()
+    route1 = True
+    witness = None
+    for i, x in enumerate(supp):
+        for y in supp[:i]:
+            delta = (x - y) % n
+            orders.add(n // math.gcd(delta, n))
+            if not za.contains(delta):
+                route1 = False
+                if witness is None:
+                    witness = (x, y)
+    route2 = all(vanishes_at(a, d) for d in orders)
+    return route1, route2, witness

@@ -223,6 +223,25 @@ def test_recompose_matches_hand_written_expansion_on_query_cycle_unions():
 # cycle unions and the full-power criterion
 
 
+def test_cycle_union_test_matches_the_per_coefficient_scan():
+    rng = random.Random("cycle unions")
+    for n in (6, 12, 72, 100, 432, 1000):
+        primes = group(n).primes
+        for trial in range(30):
+            c = [0] * n
+            # a union of r-cycles for one prime r, then maybe one stray point
+            r = rng.choice(primes)
+            for _ in range(rng.randint(0, 6)):
+                base, mult = rng.randrange(n), rng.randint(1, 4)
+                for j in range(r):
+                    c[(base + j * n // r) % n] += mult
+            if trial % 3 == 0:
+                c[rng.randrange(n)] += rng.randint(1, 3)
+            a = coeffs(n, c)
+            for p in primes:
+                assert is_cycle_union(a, p) == oracles.is_cycle_union_by_scan(a.coeffs, n, p)
+
+
 def test_cycle_union_examples():
     assert is_cycle_union(mm(6, [0, 3]), 2)
     assert not is_cycle_union(mm(6, [0, 3]), 3)

@@ -86,6 +86,35 @@ def test_routes_agree_on_random_candidates():
             assert t1 == t2b
 
 
+def _seeded_spectral_candidates(seed):
+    """(A, B) at N = 72, 360, 1000 with |B| up to 72: spectral pairs (an
+    interval of m | N points and its spectrum (N/m){0..m-1}, moved by a unit
+    and a shift), the same with one point of B moved, and random pairs."""
+    rng = random.Random(seed)
+    for n in (72, 360, 1000):
+        units = group(n).units()
+        sizes = [m for m in group(n).divisors if 2 <= m <= 72 and m < n]
+        for _ in range(30):
+            m = rng.choice(sizes)
+            u, t = rng.choice(units), rng.randrange(n)
+            a = [(u * x + t) % n for x in range(m)]
+            b = [pow(u, -1, n) * x * (n // m) % n for x in range(m)]
+            yield mm(n, a), mm(n, b)
+            broken = list(b)
+            broken[rng.randrange(m)] = rng.choice([x for x in range(n) if x not in b])
+            yield mm(n, a), mm(n, broken)
+            yield mm(n, rng.sample(range(n), rng.randint(1, 20))), mm(n, rng.sample(range(n), rng.randint(1, 72)))
+
+
+def test_spectral_routes_match_the_per_pair_reference():
+    verdicts = set()
+    for a, b in _seeded_spectral_candidates("routes"):
+        got = spectral_routes(a, b)
+        assert got == oracles.spectral_routes_per_pair(a, b)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
 def test_spectral_verdict_matches_oracle():
     rng = random.Random(11)
     for _ in range(40):

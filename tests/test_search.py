@@ -699,6 +699,16 @@ def test_surveys_leave_no_garbage_for_the_cyclic_collector():
         gc.enable()
 
 
+def test_every_planned_enum_task_yields_a_record():
+    # a k-set whose least gap is a1 needs k * a1 <= N, so no task is empty
+    for n in range(1, 17):
+        opts = SurveyOptions()
+        tasks, _ = search._plan_tasks(n, opts)
+        assert {kind for kind, _, _ in tasks} == {"enum"}
+        for task in tasks:
+            assert next(search._run_task((n, opts, task)), None) is not None, task
+
+
 def test_planning_draws_no_samples(monkeypatch):
     # samples are drawn inside the tasks, so workers share the drawing
     def forbidden(*args):
@@ -876,12 +886,12 @@ class _InProcessPools:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("threads, workers", [(500, 16), (2, 2)])
+@pytest.mark.parametrize("threads, workers", [(500, 9), (2, 2)])
 def test_worker_pool_is_capped_at_the_pending_tasks(monkeypatch, threads, workers):
     pools = _InProcessPools()
     monkeypatch.setattr(search, "get_context", lambda method: pools)
     tasks, _ = search._plan_tasks(6, SurveyOptions())
-    assert len(tasks) == 16
+    assert len(tasks) == 9
     opts = SurveyOptions(threads=threads, collect_records=True)
     got = fuglede_survey(group(6), opts)
     assert pools.sizes == [workers]

@@ -197,6 +197,41 @@ def test_difference_set_symmetry_and_zero():
     assert all((-x) % 15 in d for x in d)
 
 
+def _dense_multisets(seed):
+    """Multisets with multiplicities up to 5, the empty one included, at
+    orders from 1 to 1000."""
+    rng = random.Random(seed)
+    for n in (1, 2, 6, 12, 72, 360, 1000):
+        for _ in range(25):
+            c = [0] * n
+            for _ in range(rng.randint(0, min(n, 40))):
+                c[rng.randrange(n)] += rng.randint(1, 5)
+            yield MaskMultiset(group(n), tuple(c))
+
+
+def test_dense_scans_match_per_coefficient_references():
+    rng = random.Random("scans")
+    for a in _dense_multisets("scans"):
+        n, c = a.n, a.coeffs
+        assert a.support() == oracles.support_by_scan(c)
+        assert a.mask() == oracles.mask_by_scan(c)
+        assert a.to_text() == oracles.text_by_scan(n, c)
+        assert MaskMultiset.from_coeffs(n, list(c)) == a
+        proper = mm(n, a.support())
+        assert difference_set(proper) == oracles.difference_set_by_scan(n, proper.coeffs)
+        ds = divisors(n)
+        picked = frozenset(d for d in ds if rng.random() < 0.5)
+        assert ZeroSet(group(n), picked).residues() == oracles.residues_by_scan(n, picked)
+        if not a.is_empty():
+            vd = zero_set(a).vanishing_divisors
+            assert zero_set(a).residues() == oracles.residues_by_scan(n, vd)
+        # a signed product longer than n, and a prefix shorter than n
+        longer = poly_mul(list(c), [1, -2, 0, 3])
+        for d in ds:
+            for seq in (c, longer, c[: n // 2]):
+                assert zn.poly_mod_xn_minus_1(seq, d) == oracles.fold_by_slices(seq, d)
+
+
 # ---------------------------------------------------------------------------
 # algebraic properties
 
