@@ -210,14 +210,10 @@ def _cmd_survey(args):
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
-    def sink(rec):
-        print(search.dumps(rec), file=out_fh)  # stdout when out_fh is None
-
+    # without --json or --out no record is printed, so none is serialised
+    line_out = out_fh if out_fh is not None else sys.stdout if args.json else None
     with out_fh or nullcontext():
-        # without --json or --out no record is printed, so none is serialised
-        result = search.fuglede_survey(
-            group(args.n), opts, record_sink=sink if out_fh or args.json else None
-        )
+        result = search.fuglede_survey(group(args.n), opts, line_out=line_out)
     summary = result.summary
     if args.json:
         print(search.dumps(summary))

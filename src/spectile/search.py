@@ -1,6 +1,6 @@
 """Exhaustive and budgeted combinatorial search over subsets of Z_N.
 
-Three layers:
+Four layers:
 
   * canonical enumeration: one representative per translation orbit (or per
     affine orbit when requested), namely the lexicographically least translate
@@ -24,6 +24,15 @@ Three layers:
     alone, with no multiset.  The summary is the fold of the records as
     they stream, fresh or replayed.
 
+  * record lines: a record's canonical JSON line (record_line, byte for byte
+    dumps(rec)) is built only for a spool or a line stream, never inside
+    classify_set.  A record with no witness is fixed by its signature
+    (N, |A|, Z(A)) and the budget except for its set and its tile search's
+    verdict and nodes, so its line fills those into a template cached per
+    signature.  A worker folds its task into a _Fold and writes the task's
+    lines to a spool file; the parent merges the folds in task order and
+    passes the lines on unparsed, so no record dict crosses a pipe.
+
 Sets are bitmasks in the hot paths; all arithmetic stays exact.
 """
 
@@ -33,10 +42,12 @@ import json
 import os
 import random
 import sys
+import tempfile
 import time
-from contextlib import closing, nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -57,7 +68,8 @@ SURVEY_SCHEMA = "spectile.survey/1"
 # The canonical representative is therefore the translate (of any unit dilate,
 # for affine orbits) with the largest key; it contains 0, so only rotations by
 # an element of the set need checking.  That rotation scan survives in
-# _canonical_form and in the affine leaf test of _canonical_of_size; the
+# _canonical_form, in its translation case _translation_form (which the
+# sampler calls) and in the affine leaf test of _canonical_of_size; the
 # translation orbits themselves come from _necklace_prefixes, since the
 # translates containing 0 are the rotations of the set's gap sequence and the
 # lex-least one is the least rotation, a necklace.
@@ -76,8 +88,28 @@ def _canonical_form(rep, n, units):
     return tuple(x for x in range(n) if best >> (n - 1 - x) & 1)
 
 
+@lru_cache(maxsize=1 << 6)
+def _rotation_tables(n):
+    """Per x in Z_n: the key bit of x, and the right shift that rotates x's bit to the top."""
+    return [1 << (n - 1 - x) for x in range(n)], [n - x for x in range(n)]
+
+
+_BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _translation_form(rep, n):
+    """_canonical_form(rep, n, (1,)) for distinct elements of range(n), by C builtins."""
+    bit, shift = _rotation_tables(n)
+    key = sum(map(bit.__getitem__, rep))
+    wide = key << n | key
+    best = max(map(((1 << n) - 1).__and__, map(wide.__rshift__, map(shift.__getitem__, rep))),
+               default=0)
+    # the best key's bits, most significant first, are the indicator of its tuple
+    return tuple(compress(range(n), format(best, f"0{n}b").encode().translate(_BIT_DIGITS)))
+
+
 def translation_canonical_form(rep, n):
-    return _canonical_form(rep, n, (1,))
+    return _translation_form({x % n for x in rep}, n)
 
 
 def affine_canonical_form(rep, n):
@@ -104,7 +136,7 @@ def _canonical_of_size(n, k, affine, first=None):
             yield (0,)
         return
     full = (1 << n) - 1
-    bit = [1 << (n - 1 - x) for x in range(n)]
+    bit = _rotation_tables(n)[0]
     # per unit u != 1: the key bit and the rotation shift of u*x, indexed by x
     dilations = [([bit[u * x % n] for x in range(n)], [n - u * x % n for x in range(n)])
                  for u in (group(n).units()[1:] if affine else ())]
@@ -474,6 +506,34 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# templates of record lines, per (N, |A|, Z(A), budget, tile verdict): (head, mid, tail)
+_line_templates = {}
+_LINE_TEMPLATES_MAX = 1 << 12
+
+
+def record_line(rec):
+    """dumps(rec) + "\\n", byte for byte, for a record of classify_set.
+
+    A record with no witness (neither verdict "found") comes from
+    classify_set's no-multiset path: all of it but the set and the tile
+    search's verdict and node count is fixed by the signature (N, |A|, Z(A))
+    and the budget, so its line fills those into a cached template.
+    """
+    tile = rec["tile"]
+    if tile["verdict"] == "found" or rec["spectral"]["verdict"] == "found":
+        return dumps(rec) + "\n"
+    key = (rec["n"], rec["size"], tuple(rec["vanishing_divisors"]), tile["budget"],
+           tile["verdict"])
+    parts = _line_templates.get(key)
+    if parts is None:
+        if len(_line_templates) >= _LINE_TEMPLATES_MAX:
+            _line_templates.clear()
+        holes = dumps({**rec, "set": "\0", "tile": {**tile, "nodes": "\0"}}) + "\n"
+        parts = _line_templates[key] = holes.split('"\\u0000"')
+    head, mid, tail = parts
+    return f"{head}[{','.join(map(str, rec['set']))}]{mid}{tile['nodes']}{tail}"
+
+
 @dataclass
 class SurveyResult:
     records: list | None
@@ -580,7 +640,8 @@ def _sample_reps(n, k, limit, seed, affine):
             reps.add((0,))
             break
         picks = rng.sample(range(1, n), k - 1)
-        reps.add(_canonical_form([0] + picks, n, units))
+        rep = [0] + picks
+        reps.add(_canonical_form(rep, n, units) if affine else _translation_form(rep, n))
     return sorted(reps)
 
 
@@ -613,44 +674,110 @@ def _run_task(args):
         yield classify_set(rep, n, opts.node_budget)
 
 
-def _task_list(args):
-    # a worker's records cross the pipe as one list
-    return list(_run_task(args))
+class _Fold:
+    """The summary's counts over a run of records.
+
+    Adding records one at a time, or merging in order the folds of
+    consecutive runs, gives the same fold: a worker folds its task and the
+    parent merges the folds in task order.
+    """
+
+    def __init__(self):
+        self.orbits = 0
+        self.per_size = {}  # k -> [surveyed, spectral, tiles, cm_pass]
+        self.f_members = []
+        self.unresolved = []
+        self.nonprimitive_structured = True  # every non-primitive spectral set passes T1/T2
+
+    def add(self, rec):
+        self.orbits += 1
+        structured = rec["cm"]["t1"] and rec["cm"]["t2"]
+        spectral, tile = rec["spectral"]["verdict"], rec["tile"]["verdict"]
+        slot = self.per_size.get(rec["size"])
+        if slot is None:
+            slot = self.per_size[rec["size"]] = [0, 0, 0, 0]
+        slot[0] += 1
+        slot[1] += spectral == "found"
+        slot[2] += tile == "found"
+        slot[3] += structured
+        if spectral == "found" and not structured and not pairs.is_primitive(
+                MaskMultiset.from_elements(rec["n"], rec["set"])):
+            self.nonprimitive_structured = False
+        if rec["f_member"]:
+            self.f_members.append(rec["set"])
+        if "unknown" in (spectral, tile):
+            self.unresolved.append(rec["set"])
+
+    def merge(self, other):
+        self.orbits += other.orbits
+        for k, counts in other.per_size.items():
+            slot = self.per_size.setdefault(k, [0, 0, 0, 0])
+            slot[:] = map(int.__add__, slot, counts)
+        self.f_members += other.f_members
+        self.unresolved += other.unresolved
+        self.nonprimitive_structured &= other.nonprimitive_structured
 
 
-def _task_results(pending, threads):
-    """The records of each pending task, in the order given."""
-    if threads > 1 and len(pending) > 1:
-        with get_context("fork").Pool(min(threads, len(pending))) as pool:
-            yield from pool.imap(_task_list, pending, chunksize=1)
-    else:
-        yield from map(_run_task, pending)
+def _fold_task(args, fold, outs=(), sink=None):
+    """Run one task: fold each record, write its line to every stream in outs
+    and hand it to sink."""
+    for rec in _run_task(args):
+        fold.add(rec)
+        if outs:
+            line = record_line(rec)
+            for out in outs:
+                out.write(line)
+        if sink is not None:
+            sink(rec)
+
+
+def _worker_task(job):
+    """A worker's task: its fold, with its record lines written to path if one is given."""
+    args, path = job
+    fold = _Fold()
+    with open(path, "w", encoding="utf-8") if path else nullcontext() as fh:
+        _fold_task(args, fold, () if fh is None else (fh,))
+    return fold
 
 
 def _spool_path(cursor, tid):
     return os.path.join(cursor, f"task-{tid:06d}.jsonl")
 
 
-def _replay(path):
+def _pass_on(path, fold, sink, line_out):
+    """Hand a spool file's lines on: unparsed to line_out, parsed to fold and sink."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            yield json.loads(line)
+            if line_out is not None:
+                line_out.write(line)
+            if fold is not None or sink is not None:
+                rec = json.loads(line)
+                if fold is not None:
+                    fold.add(rec)
+                if sink is not None:
+                    sink(rec)
 
 
-def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) -> SurveyResult:
+def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None,
+                   line_out=None) -> SurveyResult:
     """Classify every canonical subset of Z_N and certify the spectral/tile split.
 
     Tasks are sharded by (size, first element) and their records come up in
     task order, the same for any worker count.  Each record, fresh or
-    replayed, passes through one loop that folds it into the summary, spools
-    it and hands it to record_sink (or keeps it in the returned list): the
-    summary is the fold of the records.  With cursor_dir set, a task's
-    records go to <cursor_dir>/task-NNNNNN.jsonl, and once that file is
-    closed <cursor_dir>/manifest.json lists the task as finished; a rerun
-    with the same options and code replays the listed tasks' files.  The
-    directory may be moved.  With one worker, records stream one at a time,
-    so memory does not grow with a task.  Budget exhaustion on any set
-    downgrades the summary to incomplete and lists the unresolved sets.
+    replayed, is folded into the summary, its line (record_line) goes to the
+    spool and to line_out, a text stream, and the record goes to record_sink
+    (or into the returned list): the summary is the fold of the records.
+    With cursor_dir set, a task's lines go to <cursor_dir>/task-NNNNNN.jsonl,
+    and once that file is closed <cursor_dir>/manifest.json lists the task as
+    finished; a rerun with the same options and code replays the listed
+    tasks' files.  The directory may be moved.  With one worker, records
+    stream one at a time, so memory does not grow with a task, and no line
+    is built unless a spool or line_out takes it.  With more, each worker
+    folds its task and writes the task's lines to its spool file (a
+    temporary one without a cursor), so only a fold crosses the pipe; the
+    parent merges the folds in task order and passes the lines on, parsing
+    them only for record_sink.  Budget exhaustion on any set downgrades the
+    summary to incomplete and lists the unresolved sets.
     """
     opts = options or SurveyOptions()
     n = ctx.n
@@ -670,51 +797,45 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
                 # a task whose spool file is gone is pending again
                 finished = {tid for tid in old["tasks"]
                             if os.path.exists(_spool_path(cursor, tid))}
-    pending = [(n, opts, task) for tid, task in enumerate(tasks) if tid not in finished]
+    pending = [tid for tid in range(len(tasks)) if tid not in finished]
     records = [] if (opts.collect_records and record_sink is None) else None
     sink = record_sink if records is None else records.append
 
-    per_size = {
-        k: {"surveyed": 0, "total": total, "spectral": 0, "tiles": 0, "cm_pass": 0}
-        for k, total in totals.items()
-    }
-    f_members = []
-    unresolved = []
-    nonprim = []
-    done = 0
+    fold = _Fold()
+    done = replayed = 0
     # a sampled size yields at most per_size_limit orbits
     limit = opts.per_size_limit
     planned = sum(total if limit is None else min(total, limit) for total in totals.values())
-    fresh = orbits = 0
-    with closing(_task_results(pending, opts.threads)) as results:
-        for tid in range(len(tasks)):
-            replay = tid in finished
-            recs = _replay(_spool_path(cursor, tid)) if replay else next(results)
-            with (open(_spool_path(cursor, tid), "w", encoding="utf-8")
-                  if cursor is not None and not replay else nullcontext()) as spool:
-                for rec in recs:
-                    orbits += 1
-                    fresh += not replay
-                    structured = rec["cm"]["t1"] and rec["cm"]["t2"]
-                    spectral, tile = rec["spectral"]["verdict"], rec["tile"]["verdict"]
-                    slot = per_size[rec["size"]]
-                    slot["surveyed"] += 1
-                    slot["cm_pass"] += structured
-                    slot["tiles"] += tile == "found"
-                    slot["spectral"] += spectral == "found"
-                    if spectral == "found" and not pairs.is_primitive(
-                            MaskMultiset.from_elements(ctx, rec["set"])):
-                        nonprim.append(bool(structured))
-                    if rec["f_member"]:
-                        f_members.append(rec["set"])
-                    if "unknown" in (spectral, tile):
-                        unresolved.append(rec["set"])
-                    if spool is not None:
-                        spool.write(dumps(rec) + "\n")
-                    if sink is not None:
-                        sink(rec)
-            if replay:
+    with ExitStack() as stack:
+        parts = spool_dir = None
+        if opts.threads > 1 and len(pending) > 1:
+            # each worker writes its task's lines to the task's spool file:
+            # the cursor's, or a temporary one when something reads the lines
+            spool_dir = cursor
+            if spool_dir is None and (line_out is not None or sink is not None):
+                spool_dir = stack.enter_context(tempfile.TemporaryDirectory(prefix="spectile-"))
+            jobs = [((n, opts, tasks[tid]), spool_dir and _spool_path(spool_dir, tid))
+                    for tid in pending]
+            pool = stack.enter_context(get_context("fork").Pool(min(opts.threads, len(pending))))
+            parts = pool.imap(_worker_task, jobs, chunksize=1)
+        for tid, task in enumerate(tasks):
+            path = None if cursor is None else _spool_path(cursor, tid)
+            if tid in finished:
+                before = fold.orbits
+                _pass_on(path, fold, sink, line_out)
+                replayed += fold.orbits - before
                 continue
+            if parts is not None:
+                fold.merge(next(parts))
+                if spool_dir is not None:
+                    path = _spool_path(spool_dir, tid)
+                    _pass_on(path, None, sink, line_out)
+                    if cursor is None:
+                        os.remove(path)
+            else:
+                with open(path, "w", encoding="utf-8") if path else nullcontext() as spool:
+                    outs = tuple(out for out in (spool, line_out) if out is not None)
+                    _fold_task((n, opts, task), fold, outs, sink)
             if cursor is not None:
                 # the spool file is closed before the manifest names its task
                 finished.add(tid)
@@ -723,13 +844,19 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
                 os.replace(manifest + ".tmp", manifest)
             done += 1
             if opts.progress:
-                rate = fresh / max(time.time() - t0, 1e-9)
+                orbits = fold.orbits
+                rate = (orbits - replayed) / max(time.time() - t0, 1e-9)
                 eta = f"{max(planned - orbits, 0) / rate:.0f} s" if rate else "?"
                 print(f"[survey n={n}] {done}/{len(pending)} tasks, "
                       f"{orbits}/{planned} orbits, {rate:.0f} orbits/s, ETA {eta}",
                       flush=True, file=sys.stderr)
 
-    total = sum(s["total"] for s in per_size.values())
+    total = sum(totals.values())
+    per_size = {}
+    for k, slot_total in sorted(totals.items()):
+        surveyed, spectral, tiles, cm_pass = fold.per_size.get(k, (0, 0, 0, 0))
+        per_size[str(k)] = {"surveyed": surveyed, "total": slot_total, "spectral": spectral,
+                            "tiles": tiles, "cm_pass": cm_pass}
     summary = {
         "type": "summary",
         "schema": SURVEY_SCHEMA,
@@ -738,14 +865,14 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None) 
         "seed": opts.seed,
         "node_budget": opts.node_budget,
         "per_size_limit": opts.per_size_limit,
-        "orbits_surveyed": orbits,
+        "orbits_surveyed": fold.orbits,
         "orbits_total": total,
-        "per_size": {str(k): v for k, v in sorted(per_size.items())},
-        "f_count": len(f_members),
-        "f_members": sorted(f_members),
-        "unresolved": sorted(unresolved),
-        "nonprimitive_spectral_all_structured": all(nonprim),
-        "complete": orbits == total and not unresolved,
+        "per_size": per_size,
+        "f_count": len(fold.f_members),
+        "f_members": sorted(fold.f_members),
+        "unresolved": sorted(fold.unresolved),
+        "nonprimitive_spectral_all_structured": fold.nonprimitive_structured,
+        "complete": fold.orbits == total and not fold.unresolved,
         "elapsed_s": round(time.time() - t0, 3),
     }
     return SurveyResult(records, summary)

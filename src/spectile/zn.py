@@ -310,7 +310,12 @@ class MaskMultiset:
         return sum(self.coeffs)
 
     def support(self):
-        return tuple(compress(range(self.n), self.coeffs))
+        # stored on the frozen instance, as zero_set stores Z(A)
+        supp = self.__dict__.get("_support")
+        if supp is None:
+            supp = tuple(compress(range(self.n), self.coeffs))
+            object.__setattr__(self, "_support", supp)
+        return supp
 
     # the multiplicities are nonnegative ints, so the builtins decide these
     def is_proper(self):

@@ -379,6 +379,23 @@ def test_resume_recomputes_a_task_whose_spool_file_is_gone(tmp_path, capsys, mon
     assert seen == lost_sets and lost.exists()
 
 
+@pytest.mark.parametrize("affine", [(), ("--affine",)])
+def test_one_and_two_workers_print_the_same_record_lines(tmp_path, capsys, affine):
+    argv = ("survey", "--json", "--n", "14", *affine)
+    _, one, _ = run(capsys, *argv, "--threads", "1")
+    _, two, _ = run(capsys, *argv, "--threads", "2")
+    records = one.splitlines()[:-1]
+    assert len(records) > 200 and '"type":"record"' in records[0]
+    assert two.splitlines()[:-1] == records
+    # two workers write the cursor's spool files; a rerun replays them
+    resume = ("--threads", "2", "--resume", str(tmp_path / "cur"))
+    for _ in range(2):
+        _, again, _ = run(capsys, *argv, *resume)
+        assert again.splitlines()[:-1] == records
+    elapsed = lambda out: {**json.loads(out.splitlines()[-1]), "elapsed_s": None}
+    assert elapsed(again) == elapsed(one)
+
+
 def test_human_survey_serialises_no_record(capsys, monkeypatch):
     # without --json or --out the records are not printed, so no sink is passed
     argv = ("survey", "--n", "10", "--threads", "1")

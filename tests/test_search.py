@@ -907,3 +907,121 @@ def test_every_tile_is_dual_certified():
     for rep in ((0, 1, 6, 7), (0, 2, 4)):
         rec = search.classify_set(rep, 12)
         assert rec["tile"]["verdict"] == "found" and rec["dual_spectrum"] is not None
+
+
+# ---------------------------------------------------------------------------
+# record lines and worker folds
+
+
+def test_translation_form_matches_the_general_rotation_scan():
+    rng = __import__("random").Random("translation form")
+    for n in range(1, 41):
+        for _ in range(60):
+            rep = rng.sample(range(n), rng.randint(1, n))
+            want = search._canonical_form(rep, n, (1,))
+            assert search._translation_form(rep, n) == want
+            # the public form reduces mod n and drops repeats first
+            assert translation_canonical_form(rep + [x + n for x in rep], n) == want
+
+
+def _small_survey_records():
+    for affine in (False, True):
+        for n in range(1, 17):
+            yield from fuglede_survey(group(n), SurveyOptions(affine=affine, threads=1)).records
+
+
+def test_record_line_is_the_canonical_line_of_every_small_survey_record():
+    search._line_templates.clear()
+    templated = 0
+    for rec in _small_survey_records():
+        line = search.record_line(rec)
+        assert line == search.dumps(rec) + "\n"
+        assert json.loads(line) == rec
+        templated += "found" not in (rec["spectral"]["verdict"], rec["tile"]["verdict"])
+    assert templated and search._line_templates
+
+
+def test_line_templates_are_bounded(monkeypatch):
+    monkeypatch.setattr(search, "_LINE_TEMPLATES_MAX", 3)
+    search._line_templates.clear()
+    records = fuglede_survey(group(16), SurveyOptions(threads=1)).records
+    for rec in records:
+        assert search.record_line(rec) == search.dumps(rec) + "\n"
+        assert len(search._line_templates) <= 3
+
+
+def _counting_lines(monkeypatch):
+    built = []
+    real = search.record_line
+
+    def counting(rec):
+        built.append(rec)
+        return real(rec)
+
+    monkeypatch.setattr(search, "record_line", counting)
+    return built
+
+
+def test_one_worker_survey_with_a_dict_sink_and_no_cursor_builds_no_line(monkeypatch, tmp_path):
+    built = _counting_lines(monkeypatch)
+    seen = []
+    opts = SurveyOptions(threads=1, collect_records=False)
+    fuglede_survey(group(12), opts, record_sink=seen.append)
+    fuglede_survey(group(12), SurveyOptions(threads=1, affine=True))
+    assert seen and built == []
+    # a spool or a line stream takes one line per record
+    opts = SurveyOptions(threads=1, collect_records=False, cursor_dir=str(tmp_path / "c"))
+    summary = fuglede_survey(group(12), opts, record_sink=seen.append).summary
+    assert len(built) == summary["orbits_surveyed"]
+
+
+def test_folds_of_consecutive_runs_merge_into_the_fold_of_all():
+    records = fuglede_survey(group(30), SurveyOptions(threads=1, per_size_limit=40)).records
+    whole = search._Fold()
+    for rec in records:
+        whole.add(rec)
+    merged = search._Fold()
+    for start in range(0, len(records), 97):
+        part = search._Fold()
+        for rec in records[start:start + 97]:
+            part.add(rec)
+        merged.merge(part)
+    assert vars(merged) == vars(whole)
+    assert whole.orbits == len(records)
+
+
+def test_two_worker_line_stream_matches_one_worker(tmp_path, monkeypatch):
+    # without a cursor the workers' lines pass through a temporary directory,
+    # which is gone afterwards
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    streams = {}
+    for threads in (1, 2):
+        out = __import__("io").StringIO()
+        seen = []
+        res = fuglede_survey(group(12), SurveyOptions(threads=threads, collect_records=False),
+                             record_sink=seen.append, line_out=out)
+        streams[threads] = (out.getvalue(), seen, _without_elapsed(res.summary))
+    assert streams[1] == streams[2]
+    text, seen, _ = streams[2]
+    assert text == "".join(search.dumps(rec) + "\n" for rec in seen)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_two_worker_json_survey_of_a_large_task_stays_small():
+    # size 11 of Z_22 is one task of 32,066 records and one of a single
+    # record; its lines go through a file, so no process holds the task.  A
+    # small wrapper process runs the CLI, so the peak RSS over the CLI and
+    # its workers does not include this test process's.
+    code = (
+        "import resource, subprocess, sys\n"
+        "argv = ['survey', '--n', '22', '--size', '11', '--json', '--threads', '2']\n"
+        "subprocess.run([sys.executable, '-m', 'spectile.cli', *argv], check=True,\n"
+        "               stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert float(done.stdout) < 40

@@ -209,6 +209,17 @@ def _dense_multisets(seed):
             yield MaskMultiset(group(n), tuple(c))
 
 
+def test_support_is_stored_on_the_multiset():
+    for a in _dense_multisets("stored support"):
+        first = a.support()
+        assert first == oracles.support_by_scan(a.coeffs)
+        assert a.support() is first
+        # the stored tuple is no field: equality and hashing read ctx and coeffs
+        fresh = MaskMultiset(a.ctx, a.coeffs)
+        assert fresh == a and hash(fresh) == hash(a)
+        assert fresh.mask() == a.mask()
+
+
 def test_dense_scans_match_per_coefficient_references():
     rng = random.Random("scans")
     for a in _dense_multisets("scans"):
