@@ -531,7 +531,7 @@ def record_line(rec):
         holes = dumps({**rec, "set": "\0", "tile": {**tile, "nodes": "\0"}}) + "\n"
         parts = _line_templates[key] = holes.split('"\\u0000"')
     head, mid, tail = parts
-    return f"{head}[{','.join(map(str, rec['set']))}]{mid}{tile['nodes']}{tail}"
+    return f"{head}{str(rec['set']).replace(' ', '')}{mid}{tile['nodes']}{tail}"
 
 
 @dataclass

@@ -928,17 +928,21 @@ def _small_survey_records():
     for affine in (False, True):
         for n in range(1, 17):
             yield from fuglede_survey(group(n), SurveyOptions(affine=affine, threads=1)).records
+    # small budgets give "unknown" tile verdicts next to "none" ones of one signature
+    for budget in (2, 9):
+        yield from fuglede_survey(group(16), SurveyOptions(node_budget=budget)).records
 
 
 def test_record_line_is_the_canonical_line_of_every_small_survey_record():
     search._line_templates.clear()
-    templated = 0
+    templated = set()
     for rec in _small_survey_records():
         line = search.record_line(rec)
         assert line == search.dumps(rec) + "\n"
         assert json.loads(line) == rec
-        templated += "found" not in (rec["spectral"]["verdict"], rec["tile"]["verdict"])
-    assert templated and search._line_templates
+        if "found" not in (rec["spectral"]["verdict"], rec["tile"]["verdict"]):
+            templated.add(rec["tile"]["verdict"])
+    assert templated == {"none", "unknown"} and search._line_templates
 
 
 def test_line_templates_are_bounded(monkeypatch):
@@ -977,6 +981,7 @@ def test_one_worker_survey_with_a_dict_sink_and_no_cursor_builds_no_line(monkeyp
 
 def test_folds_of_consecutive_runs_merge_into_the_fold_of_all():
     records = fuglede_survey(group(30), SurveyOptions(threads=1, per_size_limit=40)).records
+    records += fuglede_survey(group(16), SurveyOptions(threads=1, node_budget=2)).records
     whole = search._Fold()
     for rec in records:
         whole.add(rec)
@@ -987,7 +992,7 @@ def test_folds_of_consecutive_runs_merge_into_the_fold_of_all():
             part.add(rec)
         merged.merge(part)
     assert vars(merged) == vars(whole)
-    assert whole.orbits == len(records)
+    assert whole.orbits == len(records) and whole.unresolved
 
 
 def test_two_worker_line_stream_matches_one_worker(tmp_path, monkeypatch):
