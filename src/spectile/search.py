@@ -6,8 +6,9 @@ Four layers:
     affine orbit when requested), namely the lexicographically least translate
     containing 0.  Its gap sequence is a necklace, so translation orbits come
     from a necklace walk with no candidate rejected; affine orbits keep the
-    necklaces that no unit dilate beats, by scanning each dilate's bitmask-key
-    rotations.
+    necklaces that no unit dilate beats.  A bounded per-task set holds the
+    dilates' necklaces that the walk will meet later, so those skip the
+    dilation test, and with least gap 1 every other necklace is canonical.
 
   * witness searches: spectra are cliques of size |A| (containing 0) in the
     graph on {0} union Z(A) with edges x ~ y iff x - y lies in Z(A); tiling
@@ -67,25 +68,22 @@ SURVEY_SCHEMA = "spectile.survey/1"
 # smaller sorted tuple, and the key of S - t is the key of S rotated left by t.
 # The canonical representative is therefore the translate (of any unit dilate,
 # for affine orbits) with the largest key; it contains 0, so only rotations by
-# an element of the set need checking.  That rotation scan survives in
-# _canonical_form, in its translation case _translation_form (which the
-# sampler calls) and in the affine leaf test of _canonical_of_size; the
-# translation orbits themselves come from _necklace_prefixes, since the
-# translates containing 0 are the rotations of the set's gap sequence and the
-# lex-least one is the least rotation, a necklace.
+# an element of the set need checking.  _canonical_form does that scan for one
+# set (the sampler and the public forms); the orbits themselves come from
+# _necklace_prefixes, since the translates containing 0 are the rotations of
+# the set's gap sequence and the lex-least one is the least rotation, a
+# necklace.
+#
+# Affine orbits come from the same walk, task by task (k, a1): a necklace is
+# kept when no unit dilate has a translate with a larger key.  Each necklace
+# that takes this dilation test marks, in a per-task pending set, the
+# dilates' necklaces that the walk meets later in the task, and a marked
+# necklace is dropped untested.  With a1 = 1 an unmarked one is canonical: a
+# non-canonical necklace's canonical form has a larger key and the same first
+# gap 1, so it came earlier and marked it.  The full rule is in
+# _canonical_of_size.  _dilation_tables serves this test and _canonical_form.
 
-
-def _canonical_form(rep, n, units):
-    """The lex-least set containing 0 in the orbit of rep under x -> u*x + t, u in units."""
-    full = (1 << n) - 1
-    best = 0
-    for u in units:
-        image = {u * x % n for x in rep}
-        key = sum(1 << (n - 1 - y) for y in image)
-        wide = key << n | key
-        for y in image:
-            best = max(best, wide >> (n - y) & full)
-    return tuple(x for x in range(n) if best >> (n - 1 - x) & 1)
+_PENDING_MAX = 1 << 16  # pending keys per affine task; a full set ends exactness
 
 
 @lru_cache(maxsize=1 << 6)
@@ -94,27 +92,49 @@ def _rotation_tables(n):
     return [1 << (n - 1 - x) for x in range(n)], [n - x for x in range(n)]
 
 
+@lru_cache(maxsize=1 << 4)
+def _dilation_tables(n):
+    """_rotation_tables(n) read at u*x, per unit u of Z_n in ascending order (1 first)."""
+    bit, shift = _rotation_tables(n)
+    return ((bit, shift),) + tuple(
+        ([bit[u * x % n] for x in range(n)], [shift[u * x % n] for x in range(n)])
+        for u in group(n).units()[1:])
+
+
 _BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _translation_form(rep, n):
-    """_canonical_form(rep, n, (1,)) for distinct elements of range(n), by C builtins."""
-    bit, shift = _rotation_tables(n)
-    key = sum(map(bit.__getitem__, rep))
+def _necklace_key(rep, n, ubit, shift):
+    """The largest key of a translate containing 0 of u*rep, from u's dilation tables."""
+    full = (1 << n) - 1
+    key = 0
+    for y in rep:
+        key |= ubit[y]
     wide = key << n | key
-    best = max(map(((1 << n) - 1).__and__, map(wide.__rshift__, map(shift.__getitem__, rep))),
-               default=0)
+    best = 0
+    for y in rep:
+        rot = wide >> shift[y] & full
+        if rot > best:
+            best = rot
+    return best
+
+
+def _canonical_form(rep, n, affine):
+    """The lex-least translate containing 0 of rep, or of any unit dilate of it
+    when affine; rep holds distinct elements of range(n)."""
+    tables = _dilation_tables(n) if affine else (_rotation_tables(n),)
+    best = max(_necklace_key(rep, n, ubit, shift) for ubit, shift in tables)
     # the best key's bits, most significant first, are the indicator of its tuple
     return tuple(compress(range(n), format(best, f"0{n}b").encode().translate(_BIT_DIGITS)))
 
 
 def translation_canonical_form(rep, n):
-    return _translation_form({x % n for x in rep}, n)
+    return _canonical_form({x % n for x in rep}, n, False)
 
 
 def affine_canonical_form(rep, n):
     """Lex-least translate containing 0 over all unit dilations of the set."""
-    return _canonical_form(rep, n, group(n).units())
+    return _canonical_form({x % n for x in rep}, n, True)
 
 
 def canonical_sets(n, size=None, affine=False):
@@ -131,60 +151,97 @@ def canonical_sets(n, size=None, affine=False):
 
 
 def _canonical_of_size(n, k, affine, first=None):
+    """The canonical k-sets of Z_n with first gap `first` (all when None), in lex order.
+
+    A task (k, a1) walks the necklaces with first gap a1 in decreasing key
+    order.  For translation orbits every leaf is canonical.  For affine
+    orbits a leaf S takes the dilation test: per unit u != 1, the necklace
+    key of u*S (its largest rotation), and S is canonical when none is above
+    S's own key.  Each key the test finds below S's and holding a1 goes into
+    the task's pending set.  Such a key has no gap below a1 (that would put
+    it above S's), so it is a later necklace of the same task, and not
+    canonical: a leaf found in the set is dropped without a test.
+
+    When a1 = 1 the set is exact: a leaf missing from it is canonical.  If a
+    necklace S with first gap 1 is not canonical, its canonical form C has a
+    larger key and first gap 1, so C came earlier in this task and put S in
+    the set.  A miss that fails the test there raises InvariantViolation.
+    When a1 > 1, C may lie in an earlier task, so a miss still takes the
+    test.  The set holds at most _PENDING_MAX keys; a key that finds it full
+    is left out, and the task is no longer exact.  Every key put in is met
+    once, so a task that ends with a pending key raises InvariantViolation.
+    A first gap a1 that does not divide n yields nothing: a unit maps a1 to
+    gcd(a1, n), a smaller gap.
+    """
     if k == 1:
         if first is None:
             yield (0,)
         return
-    full = (1 << n) - 1
     bit = _rotation_tables(n)[0]
-    # per unit u != 1: the key bit and the rotation shift of u*x, indexed by x
-    dilations = [([bit[u * x % n] for x in range(n)], [n - u * x % n for x in range(n)])
-                 for u in (group(n).units()[1:] if affine else ())]
+    dilations = _dilation_tables(n)[1:] if affine else ()  # units u != 1
     firsts = range(1, n // k + 1) if first is None else [first]
     for a1 in firsts:
-        for prefix, lo, stop in _necklace_prefixes(n, k, a1):
-            if not dilations:
+        if not dilations:
+            for prefix, _, lo, stop in _necklace_prefixes(n, k, a1):
                 for x in range(lo, stop):
                     yield prefix + (x,)
-                continue
-            head = sum(map(bit.__getitem__, prefix))
+            continue
+        if n % a1:
+            continue  # a unit maps a1 to gcd(a1, n), a smaller first gap
+        pending = set()
+        exact = a1 == 1
+        mark = bit[a1]
+        for prefix, head, lo, stop in _necklace_prefixes(n, k, a1):
             for x in range(lo, stop):
+                key = head | bit[x]
+                if key in pending:
+                    pending.remove(key)
+                    continue
                 rep = prefix + (x,)
-                key = head + bit[x]
                 for ubit, shift in dilations:
-                    ukey = sum(map(ubit.__getitem__, rep))
-                    wide = ukey << n | ukey
-                    for y in rep:
-                        if wide >> shift[y] & full > key:
-                            break
-                    else:
-                        continue
-                    break  # some translate of this dilate has a larger key
+                    image = _necklace_key(rep, n, ubit, shift)
+                    if image > key:
+                        if exact:
+                            raise InvariantViolation(
+                                f"{rep} of Z_{n} is no affine orbit's least set but was not marked")
+                        break
+                    if image != key and image & mark:  # a later necklace of this task
+                        if len(pending) < _PENDING_MAX:
+                            pending.add(image)
+                        else:
+                            exact = False
                 else:
                     yield rep
+        if pending:
+            raise InvariantViolation(f"{len(pending)} pending necklaces of Z_{n} never reached")
 
 
 def _necklace_prefixes(n, k, a1):
     """The translation-canonical k-subsets of Z_n with first gap a1, in lex order.
 
-    Yields (prefix, lo, stop): the sets are prefix + (x,) for lo <= x < stop.
-    A set's gaps g_1..g_k (g_k closing the sum to n) form a necklace, the
-    least of its rotations.  The walk is Fredricksen-Kessler-Maiorana's with
-    the sum fixed: with p the period of g_1..g_{t-1}, g_t >= g_{t-p}, and p
-    becomes t when g_t > g_{t-p}; a full sequence is a necklace iff g_k >
-    g_{k-p}, or g_k = g_{k-p} and p divides k.  Every gap is at least a1, so
-    a prefix is dropped once the gaps left cannot all be.
+    Yields (prefix, key, lo, stop): the sets are prefix + (x,) for lo <= x <
+    stop, and key is the prefix's key.  A set's gaps g_1..g_k (g_k closing
+    the sum to n) form a necklace, the least of its rotations.  The walk is
+    Fredricksen-Kessler-Maiorana's with the sum fixed: with p the period of
+    g_1..g_{t-1}, g_t >= g_{t-p}, and p becomes t when g_t > g_{t-p}; a full
+    sequence is a necklace iff g_k > g_{k-p}, or g_k = g_{k-p} and p divides
+    k.  Every gap is at least a1, so a prefix is dropped once the gaps left
+    cannot all be.
     """
     if k * a1 > n:
         return
+    bit = _rotation_tables(n)[0]
     if k == 2:
-        yield (0,), a1, a1 + 1
+        yield (0,), bit[0], a1, a1 + 1
         return
     last = k - 1  # the index of the leaf element x, so g_k = n - x
     xs = [0] * k  # xs[t] = g_1 + ... + g_t
+    keys = [0] * k  # keys[t]: the key of xs[0..t]
     gap = [0] * k
     per = [0] * k  # per[t]: the period of g_1..g_t
     xs[1] = gap[1] = a1
+    keys[0] = bit[0]
+    keys[1] = bit[0] | bit[a1]
     per[1] = 1
     t = 1
     while True:
@@ -199,9 +256,9 @@ def _necklace_prefixes(n, k, a1):
             x = xs[t] + g
             ref = gap[k - p]
             if n - x > ref or n - x == ref and k % p == 0:
-                yield tuple(xs[:last]), x, max(n - a1, x + 1)
+                yield tuple(xs[:last]), keys[t], x, max(n - a1, x + 1)
             else:
-                yield tuple(xs[:last]), x + 1, n - a1
+                yield tuple(xs[:last]), keys[t], x + 1, n - a1
             if t == 1:
                 return
             g = gap[t] + 1
@@ -211,7 +268,8 @@ def _necklace_prefixes(n, k, a1):
                 return
             g = gap[t] + 1
         gap[t] = g
-        xs[t] = xs[t - 1] + g
+        x = xs[t] = xs[t - 1] + g
+        keys[t] = keys[t - 1] | bit[x]
         p = per[t - 1]
         per[t] = p if g == gap[t - p] else t
 
@@ -630,7 +688,6 @@ def _f_diagnostics(a, b):
 
 def _sample_reps(n, k, limit, seed, affine):
     rng = random.Random(f"{seed}:{n}:{k}")
-    units = group(n).units() if affine else (1,)
     reps = set()
     attempts = 0
     cap = 200 * limit + 1000
@@ -641,7 +698,7 @@ def _sample_reps(n, k, limit, seed, affine):
             break
         picks = rng.sample(range(1, n), k - 1)
         rep = [0] + picks
-        reps.add(_canonical_form(rep, n, units) if affine else _translation_form(rep, n))
+        reps.add(_canonical_form(rep, n, affine))
     return sorted(reps)
 
 

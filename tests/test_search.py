@@ -73,7 +73,7 @@ def test_canonical_form_helpers():
     assert translation_canonical_form(rep, 12) == rep
 
 
-@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("n", range(1, 23))
 def test_affine_enumeration_counts(n):
     for k in range(1, n + 1):
         got = sum(1 for _ in canonical_sets(n, k, affine=True))
@@ -109,6 +109,30 @@ def test_necklace_walk_edge_cases(affine):
     reps = list(canonical_sets(20, 4, affine=affine))
     assert reps.count((0, 5, 10, 15)) == 1
     assert len(reps) == len(set(reps)) == orbit_count(20, 4, affine)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 5])
+def test_affine_walk_matches_generate_and_filter_at_any_pending_cap(monkeypatch, cap):
+    # a full pending set turns exactness off, so more leaves take the dilation test
+    monkeypatch.setattr(search, "_PENDING_MAX", cap)
+    for n in range(1, 19):
+        for k in range(2, n + 1):
+            for a1 in range(1, n // k + 1):
+                want = list(oracles.canonical_of_size_by_filter(n, k, True, first=a1))
+                assert list(search._canonical_of_size(n, k, True, first=a1)) == want
+
+
+def test_affine_walk_memory_is_bounded_by_the_pending_cap(monkeypatch):
+    # size 10 of Z_20 peaks at 0.8 MB with the default cap and 56 KB with 2^8
+    monkeypatch.setattr(search, "_PENDING_MAX", 1 << 8)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in search._canonical_of_size(20, 10, True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == orbit_count(20, 10, affine=True)
+    assert peak < 128 * 2**10
 
 
 def test_affine_reps_are_translation_canonical():
@@ -914,14 +938,19 @@ def test_every_tile_is_dual_certified():
 
 
 def test_translation_form_matches_the_general_rotation_scan():
+    # the dilation tables' scan against the least sorted image of every map
     rng = __import__("random").Random("translation form")
     for n in range(1, 41):
-        for _ in range(60):
+        for i in range(60):
             rep = rng.sample(range(n), rng.randint(1, n))
-            want = search._canonical_form(rep, n, (1,))
-            assert search._translation_form(rep, n) == want
+            want = oracles.orbit_least(n, rep)
+            assert search._canonical_form(rep, n, False) == want
             # the public form reduces mod n and drops repeats first
             assert translation_canonical_form(rep + [x + n for x in rep], n) == want
+            if i < 10:
+                want = oracles.orbit_least(n, rep, affine=True)
+                assert search._canonical_form(rep, n, True) == want
+                assert affine_canonical_form(rep + [x - n for x in rep], n) == want
 
 
 def _small_survey_records():
