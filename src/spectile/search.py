@@ -182,7 +182,7 @@ def _canonical_of_size(n, k, affine, first=None):
     firsts = range(1, n // k + 1) if first is None else [first]
     for a1 in firsts:
         if not dilations:
-            for prefix, _, lo, stop in _necklace_prefixes(n, k, a1):
+            for prefix, lo, stop in _necklace_prefixes(n, k, a1):
                 for x in range(lo, stop):
                     yield prefix + (x,)
             continue
@@ -191,7 +191,10 @@ def _canonical_of_size(n, k, affine, first=None):
         pending = set()
         exact = a1 == 1
         mark = bit[a1]
-        for prefix, head, lo, stop in _necklace_prefixes(n, k, a1):
+        for prefix, lo, stop in _necklace_prefixes(n, k, a1):
+            head = 0
+            for y in prefix:
+                head |= bit[y]
             for x in range(lo, stop):
                 key = head | bit[x]
                 if key in pending:
@@ -219,29 +222,24 @@ def _canonical_of_size(n, k, affine, first=None):
 def _necklace_prefixes(n, k, a1):
     """The translation-canonical k-subsets of Z_n with first gap a1, in lex order.
 
-    Yields (prefix, key, lo, stop): the sets are prefix + (x,) for lo <= x <
-    stop, and key is the prefix's key.  A set's gaps g_1..g_k (g_k closing
-    the sum to n) form a necklace, the least of its rotations.  The walk is
-    Fredricksen-Kessler-Maiorana's with the sum fixed: with p the period of
-    g_1..g_{t-1}, g_t >= g_{t-p}, and p becomes t when g_t > g_{t-p}; a full
-    sequence is a necklace iff g_k > g_{k-p}, or g_k = g_{k-p} and p divides
-    k.  Every gap is at least a1, so a prefix is dropped once the gaps left
-    cannot all be.
+    Yields (prefix, lo, stop): the sets are prefix + (x,) for lo <= x < stop.
+    A set's gaps g_1..g_k (g_k closing the sum to n) form a necklace, the
+    least of its rotations.  The walk is Fredricksen-Kessler-Maiorana's with
+    the sum fixed: with p the period of g_1..g_{t-1}, g_t >= g_{t-p}, and p
+    becomes t when g_t > g_{t-p}; a full sequence is a necklace iff g_k >
+    g_{k-p}, or g_k = g_{k-p} and p divides k.  Every gap is at least a1, so
+    a prefix is dropped once the gaps left cannot all be.
     """
     if k * a1 > n:
         return
-    bit = _rotation_tables(n)[0]
     if k == 2:
-        yield (0,), bit[0], a1, a1 + 1
+        yield (0,), a1, a1 + 1
         return
     last = k - 1  # the index of the leaf element x, so g_k = n - x
     xs = [0] * k  # xs[t] = g_1 + ... + g_t
-    keys = [0] * k  # keys[t]: the key of xs[0..t]
     gap = [0] * k
     per = [0] * k  # per[t]: the period of g_1..g_t
     xs[1] = gap[1] = a1
-    keys[0] = bit[0]
-    keys[1] = bit[0] | bit[a1]
     per[1] = 1
     t = 1
     while True:
@@ -256,9 +254,9 @@ def _necklace_prefixes(n, k, a1):
             x = xs[t] + g
             ref = gap[k - p]
             if n - x > ref or n - x == ref and k % p == 0:
-                yield tuple(xs[:last]), keys[t], x, max(n - a1, x + 1)
+                yield tuple(xs[:last]), x, max(n - a1, x + 1)
             else:
-                yield tuple(xs[:last]), keys[t], x + 1, n - a1
+                yield tuple(xs[:last]), x + 1, n - a1
             if t == 1:
                 return
             g = gap[t] + 1
@@ -268,8 +266,7 @@ def _necklace_prefixes(n, k, a1):
                 return
             g = gap[t] + 1
         gap[t] = g
-        x = xs[t] = xs[t - 1] + g
-        keys[t] = keys[t - 1] | bit[x]
+        xs[t] = xs[t - 1] + g
         p = per[t - 1]
         per[t] = p if g == gap[t - p] else t
 
