@@ -81,7 +81,8 @@ SURVEY_SCHEMA = "spectile.survey/1"
 # necklace is dropped untested.  With a1 = 1 an unmarked one is canonical: a
 # non-canonical necklace's canonical form has a larger key and the same first
 # gap 1, so it came earlier and marked it.  The full rule is in
-# _canonical_of_size.  _dilation_tables serves this test and _canonical_form.
+# _canonical_of_size.  _necklace_key is the one rotation scan, for this test
+# and for _canonical_form.
 
 _PENDING_MAX = 1 << 16  # pending keys per affine task; a full set ends exactness
 
@@ -94,18 +95,18 @@ def _rotation_tables(n):
 
 @lru_cache(maxsize=1 << 4)
 def _dilation_tables(n):
-    """_rotation_tables(n) read at u*x, per unit u of Z_n in ascending order (1 first)."""
+    """_rotation_tables(n) read at u*x, per unit u != 1 of Z_n in ascending order."""
     bit, shift = _rotation_tables(n)
-    return ((bit, shift),) + tuple(
-        ([bit[u * x % n] for x in range(n)], [shift[u * x % n] for x in range(n)])
-        for u in group(n).units()[1:])
+    return tuple(([bit[u * x % n] for x in range(n)], [shift[u * x % n] for x in range(n)])
+                 for u in group(n).units()[1:])
 
 
 _BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _necklace_key(rep, n, ubit, shift):
-    """The largest key of a translate containing 0 of u*rep, from u's dilation tables."""
+    """The largest key of a translate containing 0 of u*rep, from u's dilation tables
+    (the rotation tables for u = 1)."""
     full = (1 << n) - 1
     key = 0
     for y in rep:
@@ -121,9 +122,15 @@ def _necklace_key(rep, n, ubit, shift):
 
 def _canonical_form(rep, n, affine):
     """The lex-least translate containing 0 of rep, or of any unit dilate of it
-    when affine; rep holds distinct elements of range(n)."""
-    tables = _dilation_tables(n) if affine else (_rotation_tables(n),)
-    best = max(_necklace_key(rep, n, ubit, shift) for ubit, shift in tables)
+    when affine; rep holds distinct elements of range(n).
+
+    Each dilate's elements are computed rather than read from _dilation_tables,
+    so a single form at a large order builds no table per unit.
+    """
+    bit, shift = _rotation_tables(n)
+    best = _necklace_key(rep, n, bit, shift)
+    for u in group(n).units()[1:] if affine else ():
+        best = max(best, _necklace_key([u * x % n for x in rep], n, bit, shift))
     # the best key's bits, most significant first, are the indicator of its tuple
     return tuple(compress(range(n), format(best, f"0{n}b").encode().translate(_BIT_DIGITS)))
 
@@ -178,7 +185,7 @@ def _canonical_of_size(n, k, affine, first=None):
             yield (0,)
         return
     bit = _rotation_tables(n)[0]
-    dilations = _dilation_tables(n)[1:] if affine else ()  # units u != 1
+    dilations = _dilation_tables(n) if affine else ()
     firsts = range(1, n // k + 1) if first is None else [first]
     for a1 in firsts:
         if not dilations:
