@@ -105,8 +105,9 @@ _BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _necklace_key(rep, n, ubit, shift):
-    """The largest key of a translate containing 0 of u*rep, from u's dilation tables
-    (the rotation tables for u = 1)."""
+    """The largest key of a translate containing 0 of u*rep, where ubit and shift
+    are _rotation_tables(n) read at u*x: _dilation_tables(n) for u != 1, the
+    rotation tables themselves for u = 1 or for a rep already dilated."""
     full = (1 << n) - 1
     key = 0
     for y in rep:

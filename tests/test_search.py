@@ -938,7 +938,7 @@ def test_every_tile_is_dual_certified():
 
 
 def test_translation_form_matches_the_general_rotation_scan():
-    # the dilation tables' scan against the least sorted image of every map
+    # the rotation scan against the least sorted image under every map
     rng = __import__("random").Random("translation form")
     for n in range(1, 41):
         for i in range(60):
