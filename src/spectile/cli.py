@@ -5,8 +5,8 @@ Exit codes: 0 success/verified, 1 verification-failure verdict, 2 usage or
 parse errors, 3 budget exhaustion, 4 internal error (one `error:` line).
 JSON output is schema-versioned and serialized canonically (sorted keys, tight
 separators, `search.dumps`) so that byte-identical round trips hold.  `survey`
-streams records task by task; `--resume DIR` keeps `manifest.json` and
-`task-NNNNNN.jsonl` files in DIR, which may be moved between runs.
+streams records task by task; `--resume DIR` keeps `manifest.json` (N and the
+fingerprint) and one `task-NNNNNN.jsonl` per finished task; DIR may be moved.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ Verification is data, not control flow: candidate pairs stream out of the
 survey, and a failed check is an ordinary classification outcome.  The
 verifiers therefore return result objects carrying the violating witness.
 Each verifier also runs its two equivalent formulations side by side (zero-set
-membership against root-order vanishing for spectra; difference sets against
-the polynomial product for tilings) and raises InvariantViolation if they ever
-disagree, since that would mean the arithmetic core is broken.
+membership against root-order vanishing for spectra; every divisor d > 1 of N
+in Z(A) or Z(T) against the polynomial product for tilings) and raises
+InvariantViolation if they ever disagree, since that would mean the arithmetic
+core is broken.  A failed tiling check still names the least nonzero
+difference the two members share.
 
 The diagnostic operations (root profiles, absorption classification, deficit
 bounds, the pattern-symmetry panel) are reporters: several of the relations
@@ -67,20 +69,11 @@ class TilingPair:
 
 
 @dataclass(frozen=True)
-class SpectralCheck:
+class PairCheck:
+    """The verdict of verify_spectral_pair or verify_tiling_pair."""
+
     ok: bool
-    pair: SpectralPair | None
-    reason: str | None = None
-    witness: tuple | None = None
-
-    def to_json(self):
-        return {"ok": self.ok, "reason": self.reason, "witness": self.witness}
-
-
-@dataclass(frozen=True)
-class TilingCheck:
-    ok: bool
-    pair: TilingPair | None
+    pair: SpectralPair | TilingPair | None
     reason: str | None = None
     witness: tuple | None = None
 
@@ -118,7 +111,7 @@ def spectral_routes(a: MaskMultiset, b: MaskMultiset):
     return route1, route2, witness
 
 
-def verify_spectral_pair(a: MaskMultiset, b: MaskMultiset) -> SpectralCheck:
+def verify_spectral_pair(a: MaskMultiset, b: MaskMultiset) -> PairCheck:
     """Decide whether (A, B) is a spectral pair; failures carry a witness.
 
     Orthogonality is decided entirely through exact vanishing tests, never
@@ -126,7 +119,7 @@ def verify_spectral_pair(a: MaskMultiset, b: MaskMultiset) -> SpectralCheck:
     """
     _require_pair_input(a, b)
     if a.mass() != b.mass():
-        return SpectralCheck(
+        return PairCheck(
             False, None, reason="cardinality", witness=(a.mass(), b.mass())
         )
     route1, route2, witness = spectral_routes(a, b)
@@ -135,23 +128,30 @@ def verify_spectral_pair(a: MaskMultiset, b: MaskMultiset) -> SpectralCheck:
             "zero-set and root-order spectral criteria disagree; arithmetic bug"
         )
     if not route1:
-        return SpectralCheck(False, None, reason="difference", witness=witness)
-    return SpectralCheck(True, SpectralPair(a, b))
+        return PairCheck(False, None, reason="difference", witness=witness)
+    return PairCheck(True, SpectralPair(a, b))
 
 
 def tiling_routes(a: MaskMultiset, t: MaskMultiset):
-    """Both tiling criteria given |A||T| = N: (difference-set, product identity)."""
+    """Both tiling criteria given |A||T| = N: (zero-set route, product identity, witness).
+
+    Route one asks that every divisor d > 1 of N lie in Z(A) or Z(T), read
+    from the stored zero sets; route two multiplies A(X)T(X) mod X^N - 1.
+    The witness, the least nonzero difference shared by A and T, is searched
+    only if route one fails, so a tiling pair builds no difference set.
+    """
     _require_pair_input(a, t)
-    da = difference_set(a)
-    dt = difference_set(t)
-    shared = (da & dt) - {0}
-    route1 = not shared
+    covered = zero_set(a).vanishing_divisors | zero_set(t).vanishing_divisors
+    route1 = covered.issuperset(a.ctx.divisors[1:])
     route2 = is_full_group_product(a, t)
-    witness = min(shared) if shared else None
+    witness = None
+    if not route1:
+        shared = (difference_set(a) & difference_set(t)) - {0}
+        witness = min(shared) if shared else None
     return route1, route2, witness
 
 
-def verify_tiling_pair(a: MaskMultiset, t: MaskMultiset) -> TilingCheck:
+def verify_tiling_pair(a: MaskMultiset, t: MaskMultiset) -> PairCheck:
     """Decide whether (A, T) tiles Z_N, cross-checking both formulations."""
     _require_pair_input(a, t)
     n = a.n
@@ -159,15 +159,15 @@ def verify_tiling_pair(a: MaskMultiset, t: MaskMultiset) -> TilingCheck:
     route1, route2, witness = tiling_routes(a, t)
     if (card_ok and route1) != route2:
         raise InvariantViolation(
-            "difference-set and product tiling criteria disagree; arithmetic bug"
+            "zero-set and product tiling criteria disagree; arithmetic bug"
         )
     if not card_ok:
-        return TilingCheck(
+        return PairCheck(
             False, None, reason="cardinality", witness=(a.mass(), t.mass())
         )
     if not route1:
-        return TilingCheck(False, None, reason="shared_difference", witness=witness)
-    return TilingCheck(True, TilingPair(a, t))
+        return PairCheck(False, None, reason="shared_difference", witness=witness)
+    return PairCheck(True, TilingPair(a, t))
 
 
 def scale_spectrum(pair: SpectralPair, m: int) -> SpectralPair:

@@ -45,7 +45,7 @@ import random
 import sys
 import tempfile
 import time
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -429,13 +429,9 @@ def _clique_search(n, k, vanishing_divisors, budget):
     return "unknown" if stack else "none", (), nodes
 
 
-def _tiling_backtrack(a: MaskMultiset, budget, want_all):
-    """(sols, exhausted, nodes) of the exact-cover search for complements of a proper A."""
-    return _cover_search(a.n, a.mask(), a.support(), budget, want_all)
-
-
 def _cover_search(n, amask, elems, budget, want_all):
-    """_tiling_backtrack on the set with bitmask amask and ascending elements elems.
+    """(sols, exhausted, nodes) of the exact-cover search for complements of
+    the proper set with bitmask amask and ascending elements elems.
 
     A level covers its first uncovered cell c with a translate c - x, for x
     in A in order; it keeps the translate it stands on, c and the index of
@@ -513,7 +509,7 @@ def enumerate_tiling_complements(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET):
     n = a.n
     if n % a.mass() != 0:
         return [], True, 0
-    sols, exhausted, nodes = _tiling_backtrack(a, budget, want_all=True)
+    sols, exhausted, nodes = _cover_search(n, a.mask(), a.support(), budget, want_all=True)
     out = [MaskMultiset.from_elements(a.ctx, sorted(s)) for s in sols]
     for t in out:
         if not pairs.verify_tiling_pair(a, t).ok:
@@ -780,25 +776,31 @@ class _Fold:
         self.nonprimitive_structured &= other.nonprimitive_structured
 
 
-def _fold_task(args, fold, outs=(), sink=None):
-    """Run one task: fold each record, write its line to every stream in outs
-    and hand it to sink."""
-    for rec in _run_task(args):
-        fold.add(rec)
-        if outs:
-            line = record_line(rec)
-            for out in outs:
-                out.write(line)
-        if sink is not None:
-            sink(rec)
+def _fold_task(args, fold, path=None, line_out=None, sink=None):
+    """Run one task: fold each record, write its line to line_out and to the
+    spool file path, and hand it to sink.  The spool is written as path +
+    ".part" and renamed once closed, so a task file means a finished task."""
+    outs = [] if line_out is None else [line_out]
+    with ExitStack() as stack:
+        if path is not None:
+            outs.append(stack.enter_context(open(path + ".part", "w", encoding="utf-8")))
+        for rec in _run_task(args):
+            fold.add(rec)
+            if outs:
+                line = record_line(rec)
+                for out in outs:
+                    out.write(line)
+            if sink is not None:
+                sink(rec)
+    if path is not None:
+        os.replace(path + ".part", path)
 
 
 def _worker_task(job):
     """A worker's task: its fold, with its record lines written to path if one is given."""
     args, path = job
     fold = _Fold()
-    with open(path, "w", encoding="utf-8") if path else nullcontext() as fh:
-        _fold_task(args, fold, () if fh is None else (fh,))
+    _fold_task(args, fold, path)
     return fold
 
 
@@ -830,16 +832,19 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None,
     spool and to line_out, a text stream, and the record goes to record_sink
     (or into the returned list): the summary is the fold of the records.
     With cursor_dir set, a task's lines go to <cursor_dir>/task-NNNNNN.jsonl,
-    and once that file is closed <cursor_dir>/manifest.json lists the task as
-    finished; a rerun with the same options and code replays the listed
-    tasks' files.  The directory may be moved.  With one worker, records
-    stream one at a time, so memory does not grow with a task, and no line
-    is built unless a spool or line_out takes it.  With more, each worker
-    folds its task and writes the task's lines to its spool file (a
-    temporary one without a cursor), so only a fold crosses the pipe; the
-    parent merges the folds in task order and passes the lines on, parsing
-    them only for record_sink.  Budget exhaustion on any set downgrades the
-    summary to incomplete and lists the unresolved sets.
+    which exists only once the task is finished: the task files are the only
+    record of finished work.  <cursor_dir>/manifest.json holds N and the
+    fingerprint; when it does not read back as exactly that text, every task
+    file is deleted and only then is it written, once.  A rerun with the same
+    N, options and code replays the task files it finds.  The directory may
+    be moved.  With one worker, records stream one at a time, so memory does
+    not grow with a task, and no line is built unless a spool or line_out
+    takes it.  With more, each worker folds its task and writes the task's
+    lines to its spool file (a temporary one without a cursor), so only a
+    fold crosses the pipe; the parent merges the folds in task order and
+    passes the lines on, parsing them only for record_sink.  Budget
+    exhaustion on any set downgrades the summary to incomplete and lists the
+    unresolved sets.
     """
     opts = options or SurveyOptions()
     n = ctx.n
@@ -850,15 +855,17 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None,
     cursor = opts.cursor_dir
     finished = set()
     if cursor is not None:
-        fingerprint = opts.fingerprint()
         os.makedirs(cursor, exist_ok=True)
-        manifest = os.path.join(cursor, "manifest.json")
-        if os.path.exists(manifest):
-            old = json.loads(Path(manifest).read_text(encoding="utf-8"))
-            if old.get("n") == n and old.get("fingerprint") == fingerprint:
-                # a task whose spool file is gone is pending again
-                finished = {tid for tid in old["tasks"]
-                            if os.path.exists(_spool_path(cursor, tid))}
+        manifest = Path(cursor, "manifest.json")
+        expected = json.dumps({"n": n, "fingerprint": opts.fingerprint()}).encode()
+        if manifest.is_file() and manifest.read_bytes() == expected:
+            finished = {tid for tid in range(len(tasks)) if os.path.exists(_spool_path(cursor, tid))}
+        else:
+            # every task file goes first: a manifest that matches vouches
+            # for whatever task files it finds
+            for stale in Path(cursor).glob("task-*"):
+                stale.unlink()
+            manifest.write_bytes(expected)
     pending = [tid for tid in range(len(tasks)) if tid not in finished]
     records = [] if (opts.collect_records and record_sink is None) else None
     sink = record_sink if records is None else records.append
@@ -895,15 +902,7 @@ def fuglede_survey(ctx, options: SurveyOptions | None = None, record_sink=None,
                     if cursor is None:
                         os.remove(path)
             else:
-                with open(path, "w", encoding="utf-8") if path else nullcontext() as spool:
-                    outs = tuple(out for out in (spool, line_out) if out is not None)
-                    _fold_task((n, opts, task), fold, outs, sink)
-            if cursor is not None:
-                # the spool file is closed before the manifest names its task
-                finished.add(tid)
-                state = {"n": n, "fingerprint": fingerprint, "tasks": sorted(finished)}
-                Path(manifest + ".tmp").write_text(json.dumps(state), encoding="utf-8")
-                os.replace(manifest + ".tmp", manifest)
+                _fold_task((n, opts, task), fold, path, line_out, sink)
             done += 1
             if opts.progress:
                 orbits = fold.orbits

@@ -487,7 +487,7 @@ def _lane_blocks(n, terms, mass_bits):
     X^d - 1 times P and times Q, folded once mod X^d - 1.  Phi_d | A iff FP
     and FQ agree; both are linear in the terms and no lane carries."""
     for d, pos, neg, w, span, low in _lane_layout(n, mass_bits):
-        f = sum([c << (w * (x % d)) for x, c in terms])
+        f = sum(c << (w * (x % d)) for x, c in terms)  # one shifted term held at a time
         p, q = f * pos, f * neg
         yield d, (p & low) + (p >> span), (q & low) + (q >> span)
 

@@ -330,7 +330,7 @@ def clique_search_recursive(n, k, vanishing_divisors, budget):
 
 
 def tiling_backtrack_recursive(a, budget, want_all):
-    """search._tiling_backtrack as a recursive closure that raises on a spent budget."""
+    """search._cover_search on A as a recursive closure that raises on a spent budget."""
     n = a.n
     full = (1 << n) - 1
     amask = a.mask()

@@ -379,6 +379,21 @@ def test_resume_recomputes_a_task_whose_spool_file_is_gone(tmp_path, capsys, mon
     assert seen == lost_sets and lost.exists()
 
 
+@pytest.mark.parametrize("damage", ["empty", "truncated"])
+def test_resume_with_a_damaged_manifest_recomputes(tmp_path, capsys, damage):
+    cursor = tmp_path / "cur"
+    args = ["survey", "--json", "--n", "8", "--threads", "1", "--resume", str(cursor)]
+    records = lambda s: [l for l in s.splitlines() if '"type":"record"' in l]
+    _, fresh, _ = run(capsys, *args)
+    manifest = cursor / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text("" if damage == "empty" else text[: len(text) // 2])
+    code, again, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert records(again) == records(fresh)
+    assert manifest.read_text() == text
+
+
 @pytest.mark.parametrize("affine", [(), ("--affine",)])
 def test_one_and_two_workers_print_the_same_record_lines(tmp_path, capsys, affine):
     argv = ("survey", "--json", "--n", "14", *affine)

@@ -28,7 +28,7 @@ from spectile import (
     verify_spectral_pair,
     verify_tiling_pair,
 )
-from spectile import pairs as pairs_mod
+from spectile import pairs as pairs_mod, zn
 from spectile.pairs import MemberProfile, spectral_routes, tiling_routes
 
 import oracles
@@ -70,6 +70,33 @@ def test_verify_tiling_shared_difference_witness():
     res = verify_tiling_pair(mm(6, [0, 3]), mm(6, [0, 2, 3]))
     assert not res.ok
     assert res.reason == "shared_difference" and res.witness == 3
+
+
+def test_verified_tiling_pair_builds_no_difference_set(monkeypatch):
+    tilings = [(mm(12, [0, 1, 6, 7]), mm(12, [0, 2, 4])), (mm(7, range(7)), mm(7, [0])),
+               (mm(1000, [0, 1]), mm(1000, range(0, 1000, 2)))]
+
+    def forbidden(a):
+        raise AssertionError("a tiling pair built a difference set")
+
+    monkeypatch.setattr(pairs_mod, "difference_set", forbidden)
+    for a, t in tilings:
+        assert tiling_routes(a, t) == (True, True, None)
+        assert verify_tiling_pair(a, t).ok
+
+
+def test_tiling_zero_set_route_matches_the_difference_sets():
+    # given |A||T| = N, every d > 1 in Z(A) or Z(T) iff A and T share no
+    # nonzero difference; the witness stays the least shared one
+    rng = random.Random(28)
+    for _ in range(300):
+        n = rng.choice([6, 8, 12, 18, 24, 36])
+        k = rng.choice([d for d in group(n).divisors if 1 < d < n])
+        a, t = mm(n, rng.sample(range(n), k)), mm(n, rng.sample(range(n), n // k))
+        shared = (zn.difference_set(a) & zn.difference_set(t)) - {0}
+        route1, _, witness = tiling_routes(a, t)
+        assert route1 == (not shared)
+        assert witness == (min(shared) if shared else None)
 
 
 def test_routes_agree_on_random_candidates():

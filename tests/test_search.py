@@ -238,7 +238,7 @@ def test_flat_searches_match_the_recursive_references(n):
             assert (search._clique_search.__wrapped__(n, len(rep), vd, budget)
                     == oracles.clique_search_recursive(n, len(rep), vd, budget))
             for want_all in (False, True):
-                assert (search._tiling_backtrack(a, budget, want_all)
+                assert (search._cover_search(n, a.mask(), a.support(), budget, want_all)
                         == oracles.tiling_backtrack_recursive(a, budget, want_all))
 
 
@@ -379,9 +379,11 @@ def test_survey_cursor_resume(tmp_path):
     opts = SurveyOptions(collect_records=True, cursor_dir=str(cursor))
     first = fuglede_survey(group(10), opts)
     manifest = json.loads((cursor / "manifest.json").read_text())
-    # the manifest lists finished task ids and holds no tallies
-    assert set(manifest) == {"n", "fingerprint", "tasks"} and manifest["n"] == 10
-    assert manifest["tasks"] == list(range(len(search._plan_tasks(10, opts)[0])))
+    # the manifest holds the order and the fingerprint; the task files are the finished work
+    assert set(manifest) == {"n", "fingerprint"} and manifest["n"] == 10
+    planned = len(search._plan_tasks(10, opts)[0])
+    assert sorted(p.name for p in cursor.glob("task-*")) == [
+        f"task-{tid:06d}.jsonl" for tid in range(planned)]
     second = fuglede_survey(group(10), opts)
     assert first.records == second.records
     assert first.summary["f_count"] == second.summary["f_count"] == 0
@@ -599,9 +601,11 @@ def test_two_worker_cursor_survey_matches_one_worker(tmp_path):
     assert _without_elapsed(two.summary) == _without_elapsed(one.summary)
     text = (cursor / "manifest.json").read_text()
     assert str(tmp_path) not in text and ".jsonl" not in text
-    manifest = json.loads(text)
+    assert set(json.loads(text)) == {"n", "fingerprint"}
+    # one file per planned task, and no .part file left
     spools = sorted(p.name for p in cursor.iterdir() if p.name != "manifest.json")
-    assert spools == [f"task-{int(t):06d}.jsonl" for t in sorted(manifest["tasks"], key=int)]
+    planned = len(search._plan_tasks(10, SurveyOptions())[0])
+    assert spools == [f"task-{tid:06d}.jsonl" for tid in range(planned)]
     spooled = [json.loads(ln) for name in spools for ln in (cursor / name).read_text().splitlines()]
     assert spooled == one.records
 
@@ -629,6 +633,109 @@ def test_survey_fingerprint_names_schema_and_version(tmp_path, monkeypatch):
         again = fuglede_survey(group(8), opts)
         assert len(seen) == again.summary["orbits_surveyed"] == orbit_count(8)
         assert again.records == first.records
+
+
+
+def _manifest_writes(monkeypatch):
+    """Names of the files opened for writing or replaced whose name starts with manifest."""
+    import builtins
+    import io
+
+    writes = []
+    real_open, real_replace = io.open, os.replace
+
+    def note(path):
+        if isinstance(path, (str, os.PathLike)) and os.path.basename(path).startswith("manifest"):
+            writes.append(os.path.basename(path))
+
+    def opening(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            note(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    def replacing(src, dst, *args, **kwargs):
+        note(dst)
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", opening)
+    monkeypatch.setattr(builtins, "open", opening)
+    monkeypatch.setattr(os, "replace", replacing)
+    return writes
+
+
+def test_cursor_manifest_is_written_once_per_run(tmp_path, monkeypatch):
+    cursor = tmp_path / "cursor"
+    opts = SurveyOptions(collect_records=True, threads=1, cursor_dir=str(cursor))
+    writes = _manifest_writes(monkeypatch)
+    first = fuglede_survey(group(10), opts)
+    assert writes == ["manifest.json"]
+    # a matching resume with one task to redo leaves the manifest alone
+    (cursor / "task-000002.jsonl").unlink()
+    writes.clear()
+    again = fuglede_survey(group(10), opts)
+    assert writes == [] and again.records == first.records
+
+
+def test_interrupted_task_leaves_no_task_file(tmp_path, monkeypatch):
+    cursor = tmp_path / "cursor"
+    opts = SurveyOptions(collect_records=True, threads=1, cursor_dir=str(cursor))
+    clean = fuglede_survey(group(10), SurveyOptions(collect_records=True, threads=1))
+    sizes = [sum(1 for _ in search._canonical_of_size(10, k, False, first=first))
+             for _, k, first in search._plan_tasks(10, opts)[0]]
+    # raise halfway through the largest task, which is neither first nor last
+    tid = sizes.index(max(sizes))
+    assert 0 < tid < len(sizes) - 1 and sizes[tid] > 2
+    kept = sum(sizes[:tid])
+    real = search.classify_set
+    calls = []
+
+    def failing(rep, *args, **kwargs):
+        calls.append(rep)
+        if len(calls) > kept + sizes[tid] // 2:
+            raise RuntimeError("interrupted")
+        return real(rep, *args, **kwargs)
+
+    monkeypatch.setattr(search, "classify_set", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        fuglede_survey(group(10), opts)
+    assert sorted(p.name for p in cursor.glob("task-*.jsonl")) == [
+        f"task-{t:06d}.jsonl" for t in range(tid)]
+    monkeypatch.setattr(search, "classify_set", real)
+    seen = _counting_classify(monkeypatch)
+    again = fuglede_survey(group(10), opts)
+    assert len(seen) == len(clean.records) - kept
+    assert again.records == clean.records
+    assert _without_elapsed(again.summary) == _without_elapsed(clean.summary)
+    assert not list(cursor.glob("*.part"))
+
+
+def test_stale_cursor_whose_deletion_fails_is_recomputed_in_full(tmp_path, monkeypatch):
+    cursor = tmp_path / "cursor"
+    opts = SurveyOptions(collect_records=True, threads=1, cursor_dir=str(cursor))
+    first = fuglede_survey(group(10), opts)
+    path = cursor / "manifest.json"
+    manifest = json.loads(path.read_text())
+    stale = json.loads(manifest["fingerprint"])
+    stale["code"] = "0" * 64
+    path.write_text(json.dumps({"n": 10, "fingerprint": json.dumps(stale, sort_keys=True)}))
+    real = os.unlink
+    calls = []
+
+    def unlink(target, *args, **kwargs):
+        calls.append(target)
+        if len(calls) == 2:
+            raise PermissionError("cannot delete")
+        return real(target, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", unlink)
+    with pytest.raises(PermissionError):
+        fuglede_survey(group(10), opts)
+    monkeypatch.setattr(os, "unlink", real)
+    # the stale manifest still stands, so every surviving task file is distrusted
+    seen = _counting_classify(monkeypatch)
+    again = fuglede_survey(group(10), opts)
+    assert len(seen) == again.summary["orbits_surveyed"] == orbit_count(10)
+    assert again.records == first.records
 
 
 def _fold(n, affine, records):
