@@ -30,13 +30,11 @@ from .zn import (
 )
 from .cm import (
     CmReport,
-    PrimePowerRecord,
     build_laba_spectrum,
     build_tiling_complement_cm,
     check_t1t2,
     maxpower_check,
     nopq_complement,
-    sa_record,
     tiling_implies_spectral,
 )
 from .cycles import (

@@ -1,7 +1,9 @@
 """Structure conditions on prime-power roots and the constructions they power.
 
 For a set A in Z_N, S_A collects the prime powers s | N with A(zeta_s) = 0.
-Two arithmetic conditions on S_A control everything here:
+It is read off Z(A) in one place, the structure report of check_t1t2
+(CmReport.s_a), and every other use here reads it from that report.  Two
+arithmetic conditions on S_A control everything here:
 
   (T1)  |A| equals the product of Phi_s(1) over s in S_A
         (each factor is the prime under s);
@@ -36,18 +38,6 @@ from .zn import (
 
 
 @dataclass(frozen=True)
-class PrimePowerRecord:
-    """S_A restricted to prime powers, plus the per-prime exponent views."""
-
-    ctx: object
-    s_a: frozenset
-    by_prime: dict  # prime p -> frozenset of exponents x with p^x in s_a
-
-    def exponents(self, p):
-        return self.by_prime.get(p, frozenset())
-
-
-@dataclass(frozen=True)
 class CmReport:
     t1_holds: bool
     t2_holds: bool
@@ -76,17 +66,6 @@ def _require_proper_nonempty(a: MaskMultiset):
         raise PreconditionError("set must be nonempty")
     if not a.is_proper():
         raise PreconditionError("operation requires a proper set")
-
-
-def sa_record(a: MaskMultiset) -> PrimePowerRecord:
-    """Prime powers s | N with A(zeta_s) = 0, derived from the zero set."""
-    _require_proper_nonempty(a)
-    vd = zero_set(a).vanishing_divisors
-    s_a = frozenset(s for s in a.ctx.prime_powers if s in vd)
-    by_prime = {}
-    for p, e in a.ctx.factorization:
-        by_prime[p] = frozenset(x for x in range(1, e + 1) if p**x in s_a)
-    return PrimePowerRecord(a.ctx, s_a, by_prime)
 
 
 def check_t1t2(a: MaskMultiset) -> CmReport:
@@ -289,8 +268,8 @@ def maxpower_check(a: MaskMultiset, b: MaskMultiset) -> CmReport:
         raise PreconditionError(
             f"neither {p}^{m} nor {q}^{n_exp} divides |A| = {size}"
         )
-    sb = sa_record(b)
-    n_is = sorted(sb.exponents(q))
+    s_b = check_t1t2(b).s_a
+    n_is = [x for x in range(1, n_exp + 1) if q**x in s_b]
     k = len(n_is)
     if size % (p**m * q**k) != 0:
         raise InvariantViolation("size fails forced divisibility by p^m q^k")
@@ -305,11 +284,11 @@ def maxpower_check(a: MaskMultiset, b: MaskMultiset) -> CmReport:
     for j in range(p**m):
         if restrict_class(b, j, p**m).mass() != q**k:
             raise InvariantViolation(f"class {j} mod {p}^{m} of B has wrong size")
-    sa = sa_record(a)
+    report = check_t1t2(a)
     expected_q = frozenset(n_exp - ni + 1 for ni in n_is)
-    if sa.exponents(q) != expected_q:
+    if {x for x in range(1, n_exp + 1) if q**x in report.s_a} != expected_q:
         raise InvariantViolation("q-exponents of S_A do not mirror those of S_B")
-    if sa.exponents(p) != frozenset(range(1, m + 1)):
+    if not all(p**x in report.s_a for x in range(1, m + 1)):
         raise InvariantViolation("p-exponents of S_A are not the full range")
     vd = zero_set(a).vanishing_divisors
     for ell in range(1, m + 1):
@@ -318,7 +297,6 @@ def maxpower_check(a: MaskMultiset, b: MaskMultiset) -> CmReport:
                 raise InvariantViolation(
                     f"A(zeta) expected to vanish at order {p**ell * q**s}"
                 )
-    report = check_t1t2(a)
     if not report.ok:
         raise InvariantViolation(
             f"direct T1/T2 check disagrees with the counting argument: {report.to_json()}"

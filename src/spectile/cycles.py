@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .errors import DomainError, InvariantViolation, PreconditionError
-from .zn import MaskMultiset, phi_product, restrict_class, vanishes_at, vanishes_at_power
+from .zn import (
+    MaskMultiset, difference_orders, phi_product, restrict_class, vanishes_at, vanishes_at_power,
+)
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,8 @@ def roothunt_check(a: MaskMultiset, d: int):
     A(zeta_N^d) != 0.  B is a union of p-cycles iff Phi_p(X^{N/p}) | B, i.e.
     iff B vanishes at every order e | N with p^m | e; for B = (qd).A these are
     the A(zeta_N^{d q^j}), 1 <= j <= n + 1.  When it holds, returns pqd after
-    verifying that A - A meets the divisor class (N/pqd) Z_N^*; returns None
-    when it fails.
+    verifying that pqd is among the difference orders of A, that is that
+    A - A meets the divisor class (N/pqd) Z_N^*; returns None when it fails.
     """
     ctx = a.ctx
     p, _m, q, _n = ctx.prime_pair()
@@ -172,9 +174,7 @@ def roothunt_check(a: MaskMultiset, d: int):
         raise InvariantViolation(
             "hypothesis held although pqd does not divide N; this is a bug"
         )
-    target = n // pqd
-    supp = a.support()
-    if not any(math.gcd(x - y, n) == target for x in supp for y in supp):
+    if pqd not in difference_orders(a):
         raise InvariantViolation(
             "no difference of the predicted order despite a true hypothesis"
         )

@@ -50,7 +50,6 @@ from .zn import (
 class SpectralPair:
     a: MaskMultiset
     b: MaskMultiset
-    verified: bool = True
 
     @property
     def ctx(self):
@@ -61,7 +60,6 @@ class SpectralPair:
 class TilingPair:
     a: MaskMultiset
     t: MaskMultiset
-    verified: bool = True
 
     @property
     def ctx(self):
@@ -153,10 +151,8 @@ def tiling_routes(a: MaskMultiset, t: MaskMultiset):
 
 def verify_tiling_pair(a: MaskMultiset, t: MaskMultiset) -> PairCheck:
     """Decide whether (A, T) tiles Z_N, cross-checking both formulations."""
-    _require_pair_input(a, t)
-    n = a.n
-    card_ok = a.mass() * t.mass() == n
-    route1, route2, witness = tiling_routes(a, t)
+    card_ok = a.mass() * t.mass() == a.n
+    route1, route2, witness = tiling_routes(a, t)  # validates the inputs
     if (card_ok and route1) != route2:
         raise InvariantViolation(
             "zero-set and product tiling criteria disagree; arithmetic bug"
@@ -175,8 +171,6 @@ def scale_spectrum(pair: SpectralPair, m: int) -> SpectralPair:
     n = pair.ctx.n
     if math.gcd(m, n) != 1:
         raise DomainError(f"{m} is not a unit mod {n}")
-    if not pair.verified:
-        raise PreconditionError("pair must be verified")
     res = verify_spectral_pair(pair.a, dilate(pair.b, m))
     if not res.ok:
         raise InvariantViolation("unit scaling broke a verified spectral pair")

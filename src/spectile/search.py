@@ -16,7 +16,10 @@ Four layers:
     cell, with one mask of covered cells and O(N + depth) memory.  Both are
     loops over an explicit stack, so no recursion limit bounds their depth;
     both are exhaustive within a node budget and distinguish "none" (full
-    exhaustion) from "unknown" (budget ran out).
+    exhaustion) from "unknown" (budget ran out).  Every witness either search
+    hands out, from find_spectrum, find_tiling_complement,
+    enumerate_tiling_complements or classify_set, is re-proved against A
+    itself by the pairs verifier in one place, _checked.
 
   * the survey: classify every canonical set of a group as spectral / tile /
     both / neither, with witnesses re-verified and exhaustion certificates
@@ -359,26 +362,34 @@ def find_spectrum(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET) -> SearchOutcome:
     it on those; the witness is still built and re-verified against A
     itself on every call.
     """
-    if a.is_empty() or not a.is_proper():
-        raise DomainError("spectrum search needs a nonempty proper set")
+    _require_searchable(a, "spectrum")
     k = a.mass()
     if k == 1:
         return SearchOutcome("found", MaskMultiset.from_elements(a.ctx, [0]), 0, budget)
-    return _spectrum_outcome(a, _clique_search(a.n, k, zero_set(a).vanishing_divisors, budget),
-                             budget)
+    verdict, chosen, nodes = _clique_search(a.n, k, zero_set(a).vanishing_divisors, budget)
+    return _outcome(a, verdict, (0,) + chosen, nodes, budget, pairs.verify_spectral_pair)
 
 
-def _spectrum_outcome(a, search, budget):
-    """The SearchOutcome of a _clique_search result on A; a found clique is
-    re-verified as a spectrum of A itself."""
-    verdict, chosen, nodes = search
-    if verdict != "found":
-        return SearchOutcome(verdict, None, nodes, budget)
-    witness = MaskMultiset.from_elements(a.ctx, (0,) + chosen)
-    check = pairs.verify_spectral_pair(a, witness)
+def _require_searchable(a, what):
+    if a.is_empty() or not a.is_proper():
+        raise DomainError(f"{what} search needs a nonempty proper set")
+
+
+def _outcome(a, verdict, elems, nodes, budget, verify):
+    """The SearchOutcome of a search on A that found elems if verdict says so."""
+    witness = _checked(a, elems, verify) if verdict == "found" else None
+    return SearchOutcome(verdict, witness, nodes, budget)
+
+
+def _checked(a, elems, verify):
+    """The witness with elements elems, re-proved against A itself by verify
+    (pairs.verify_spectral_pair or pairs.verify_tiling_pair).  Every witness
+    a search hands out passes through here; one that fails is a search bug."""
+    witness = MaskMultiset.from_elements(a.ctx, elems)
+    check = verify(a, witness)
     if not check.ok:
-        raise InvariantViolation("clique search produced a non-spectrum")
-    return SearchOutcome("found", witness, nodes, budget)
+        raise InvariantViolation(f"search produced a witness that fails its check: {check.reason}")
+    return witness
 
 
 @lru_cache(maxsize=1 << 12)
@@ -474,47 +485,27 @@ def _cover_search(n, amask, elems, budget, want_all):
 
 def find_tiling_complement(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Backtracking exact-cover search for a complement T containing 0."""
-    if a.is_empty() or not a.is_proper():
-        raise DomainError("tiling search needs a nonempty proper set")
-    return _tile_outcome(a, _first_cover(a.n, a.support(), budget), budget)
+    _require_searchable(a, "tiling")
+    verdict, sols, nodes = _covers(a.n, a.support(), budget, want_all=False)
+    return _outcome(a, verdict, sols[0] if sols else (), nodes, budget, pairs.verify_tiling_pair)
 
 
-def _tile_outcome(a, search, budget):
-    """The SearchOutcome of a _first_cover result on A; a found complement is
-    re-verified against A itself."""
-    verdict, sols, nodes = search
-    if verdict != "found":
-        return SearchOutcome(verdict, None, nodes, budget)
-    witness = MaskMultiset.from_elements(a.ctx, sorted(sols[0]))
-    check = pairs.verify_tiling_pair(a, witness)
-    if not check.ok:
-        raise InvariantViolation("cover search produced a non-complement")
-    return SearchOutcome("found", witness, nodes, budget)
-
-
-def _first_cover(n, elems, budget):
-    """(verdict, sols, nodes) of the search for one complement of the proper
-    set with ascending elements elems; none when |A| does not divide n."""
+def _covers(n, elems, budget, want_all):
+    """(verdict, sols, nodes) of the search for the first complement, or for
+    all of them with want_all, of the proper set with ascending elements
+    elems; none when |A| does not divide n.  The verdict is unknown when the
+    budget ran out, whatever sols holds."""
     if n % len(elems):
         return "none", [], 0
-    sols, exhausted, nodes = _cover_search(n, sum(1 << x for x in elems), elems, budget,
-                                           want_all=False)
-    return "found" if sols else "none" if exhausted else "unknown", sols, nodes
+    sols, exhausted, nodes = _cover_search(n, sum(1 << x for x in elems), elems, budget, want_all)
+    return ("found" if sols else "none") if exhausted else "unknown", sols, nodes
 
 
 def enumerate_tiling_complements(a: MaskMultiset, budget=DEFAULT_NODE_BUDGET):
     """All complements of A containing 0.  Returns (witness list, exhausted, nodes)."""
-    if a.is_empty() or not a.is_proper():
-        raise DomainError("tiling search needs a nonempty proper set")
-    n = a.n
-    if n % a.mass() != 0:
-        return [], True, 0
-    sols, exhausted, nodes = _cover_search(n, a.mask(), a.support(), budget, want_all=True)
-    out = [MaskMultiset.from_elements(a.ctx, sorted(s)) for s in sols]
-    for t in out:
-        if not pairs.verify_tiling_pair(a, t).ok:
-            raise InvariantViolation("cover search produced a non-complement")
-    return out, exhausted, nodes
+    _require_searchable(a, "tiling")
+    verdict, sols, nodes = _covers(a.n, a.support(), budget, want_all=True)
+    return [_checked(a, s, pairs.verify_tiling_pair) for s in sols], verdict != "unknown", nodes
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +624,11 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
     }
     if not cm_report.ok:
         # k > 1 here, since {0} satisfies T1/T2
-        spectral = _clique_search(n, k, vd, node_budget)
-        tile = _first_cover(n, rep, node_budget)
-        if "found" not in (spectral[0], tile[0]):
-            record["spectral"] = _outcome_json(spectral[0], spectral[2], node_budget)
-            record["tile"] = _outcome_json(tile[0], tile[2], node_budget)
+        spectral, chosen, spectral_nodes = _clique_search(n, k, vd, node_budget)
+        tile, sols, tile_nodes = _covers(n, rep, node_budget, want_all=False)
+        if "found" not in (spectral, tile):
+            record["spectral"] = _outcome_json(spectral, spectral_nodes, node_budget)
+            record["tile"] = _outcome_json(tile, tile_nodes, node_budget)
             return record
     a = MaskMultiset.from_elements(ctx, rep)
     object.__setattr__(a, "_zero_set", za)  # zero_set(a) returns it from here on
@@ -649,8 +640,10 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
         record["spectral"] = {"verdict": "found", "witness": list(dual["spectrum"]), "nodes": 0}
         record["tile"] = {"verdict": "found", "witness": sorted(t.support()), "nodes": 0}
         return record
-    spectral = _spectrum_outcome(a, spectral, node_budget)
-    tile = _tile_outcome(a, tile, node_budget)
+    spectral = _outcome(a, spectral, (0,) + chosen, spectral_nodes, node_budget,
+                        pairs.verify_spectral_pair)
+    tile = _outcome(a, tile, sols[0] if sols else (), tile_nodes, node_budget,
+                    pairs.verify_tiling_pair)
     if tile.verdict == "found" and _shape_forces_structure(ctx):
         raise InvariantViolation(
             f"tile {rep} of Z_{n} fails the structure conditions; impossible"

@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+import sympy
 
 from spectile import (
     DomainError,
@@ -14,7 +15,6 @@ from spectile import (
     group,
     maxpower_check,
     nopq_complement,
-    sa_record,
     tiling_implies_spectral,
     verify_spectral_pair,
     verify_tiling_pair,
@@ -30,22 +30,34 @@ def mm(n, elems):
 
 
 # ---------------------------------------------------------------------------
-# prime-power vanishing records
+# S_A, read from the structure report
 
 
 def test_sa_record_full_group():
-    assert sa_record(mm(6, range(6))).s_a == frozenset({2, 3})
+    assert check_t1t2(mm(6, range(6))).s_a == frozenset({2, 3})
 
 
 def test_sa_record_pair():
-    rec = sa_record(mm(6, [0, 3]))
-    assert rec.s_a == frozenset({2})
-    assert rec.exponents(2) == frozenset({1})
-    assert rec.exponents(3) == frozenset()
+    assert check_t1t2(mm(6, [0, 3])).s_a == frozenset({2})
 
 
 def test_sa_record_singleton():
-    assert sa_record(mm(8, [0])).s_a == frozenset()
+    assert check_t1t2(mm(8, [0])).s_a == frozenset()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_s_a_is_the_prime_powers_where_the_fold_vanishes(n):
+    # A(zeta_s) = 0 iff the fold of A mod X^s - 1 vanishes there; sympy decides it
+    prime_powers = [s for s in range(2, n + 1) if n % s == 0 and len(sympy.factorint(s)) == 1]
+    for rep in canonical_sets(n):
+        expected = set()
+        for s in prime_powers:
+            fold = [0] * s
+            for x in rep:
+                fold[x % s] += 1
+            if oracles.vanishes(fold, s):
+                expected.add(s)
+        assert check_t1t2(mm(n, rep)).s_a == expected, (n, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,8 @@ def test_tiling_verdict_matches_oracle():
 def test_scale_spectrum():
     p = pair(12, [0, 1, 6, 7], [0, 1, 6, 7])
     assert scale_spectrum(p, 1).b.coeffs == p.b.coeffs
-    assert scale_spectrum(p, 5).verified
-    assert scale_spectrum(p, 11).verified
+    for m in (5, 11):
+        assert scale_spectrum(p, m).b.coeffs == zn.dilate(p.b, m).coeffs
     with pytest.raises(DomainError):
         scale_spectrum(p, 3)
 
@@ -176,7 +176,7 @@ def test_scale_spectrum():
 def test_scale_spectrum_all_units_reverify():
     p = pair(18, [0, 1, 2, 9, 10, 11], [0, 3, 6, 9, 12, 15])
     for m in group(18).units():
-        assert scale_spectrum(p, m).verified
+        assert verify_spectral_pair(p.a, scale_spectrum(p, m).b).ok
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_extend_pair_example():
     out = extend_pair(p, 2, 0)
     assert sorted(out.a.support()) == [0, 1, 6, 7]
     assert sorted(out.b.support()) == [0, 3, 6, 9]
-    assert out.verified
+    assert verify_spectral_pair(out.a, out.b).ok
 
 
 def test_extend_pair_rejects_unabsorbed_level():
@@ -298,7 +298,7 @@ def test_extend_pair_search_instances_reverify():
             for prime in (p, q):
                 for k in sorted(k_set(out.witness, prime)):
                     ext = extend_pair(sp.pair, prime, k)
-                    assert ext.verified
+                    assert verify_spectral_pair(ext.a, ext.b).ok
                     hits += 1
     assert hits > 100
 
@@ -731,14 +731,6 @@ def test_exclusion_rejects_wrong_prime_count():
         exclusion_predicate(group(30))
     with pytest.raises(DomainError):
         exclusion_predicate(group(8))
-
-
-def test_scale_requires_verified_pair():
-    from spectile import SpectralPair
-
-    fake = SpectralPair(mm(6, [0, 3]), mm(6, [0, 3]), verified=False)
-    with pytest.raises(PreconditionError):
-        scale_spectrum(fake, 1)
 
 
 def test_exclusion_reasons_name_their_provenance():

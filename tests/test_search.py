@@ -902,6 +902,25 @@ def test_memoised_spectrum_is_reverified_for_each_set(monkeypatch):
         find_spectrum(liar)
 
 
+def test_a_rejected_witness_raises(monkeypatch):
+    a = mm(12, [0, 1, 6, 7])
+    assert find_spectrum(a).verdict == "found"
+    assert find_tiling_complement(a).verdict == "found"
+    assert len(enumerate_tiling_complements(a)[0]) > 1
+
+    def rejecting(reason):
+        return lambda a, b: pairs.PairCheck(False, None, reason=reason)
+
+    monkeypatch.setattr(pairs, "verify_spectral_pair", rejecting("difference"))
+    monkeypatch.setattr(pairs, "verify_tiling_pair", rejecting("shared_difference"))
+    with pytest.raises(InvariantViolation, match="difference"):
+        find_spectrum(a)
+    with pytest.raises(InvariantViolation, match="shared_difference"):
+        find_tiling_complement(a)
+    with pytest.raises(InvariantViolation, match="shared_difference"):
+        enumerate_tiling_complements(a)
+
+
 PROGRESS = re.compile(
     r"\[survey n=(\d+)\] (\d+)/(\d+) tasks, (\d+)/(\d+) orbits, "
     r"(\d+) orbits/s, ETA (\d+ s|\?)"
