@@ -24,18 +24,18 @@ Four layers:
   * the survey: classify every canonical set of a group as spectral / tile /
     both / neither, with witnesses re-verified and exhaustion certificates
     recorded, and collect any spectral non-tile with its full diagnostics.
-    A set that fails T1/T2 and has no witness is classified from its tuple
-    alone, with no multiset.  The summary is the fold of the records as
-    they stream, fresh or replayed.
+    At the orders the survey reaches, a set that fails T1/T2 is no tile, and
+    with no spectrum its record is a fresh copy of one cached per signature
+    (N, |A|, Z(A)), with no multiset built.  The summary is the fold of the
+    records as they stream, fresh or replayed.
 
   * record lines: a record's canonical JSON line (record_line, byte for byte
     dumps(rec)) is built only for a spool or a line stream, never inside
-    classify_set.  A record with no witness is fixed by its signature
-    (N, |A|, Z(A)) and the budget except for its set and its tile search's
-    verdict and nodes, so its line fills those into a template cached per
-    signature.  A worker folds its task into a _Fold and writes the task's
-    lines to a spool file; the parent merges the folds in task order and
-    passes the lines on unparsed, so no record dict crosses a pipe.
+    classify_set.  A record of a cached signature has its line filled from
+    the template cached with the record.  A worker folds its task into a
+    _Fold and writes the task's lines to a spool file; the parent merges the
+    folds in task order and passes the lines on unparsed, so no record dict
+    crosses a pipe.
 
 Sets are bitmasks in the hot paths; all arithmetic stays exact.
 """
@@ -60,7 +60,7 @@ from .errors import DomainError, InvariantViolation
 from .zn import MaskMultiset, ZeroSet, group, zero_set
 
 DEFAULT_NODE_BUDGET = 500_000
-SURVEY_SCHEMA = "spectile.survey/1"
+SURVEY_SCHEMA = "spectile.survey/2"
 
 
 # ---------------------------------------------------------------------------
@@ -556,32 +556,33 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# templates of record lines, per (N, |A|, Z(A), budget, tile verdict): (head, mid, tail)
-_line_templates = {}
-_LINE_TEMPLATES_MAX = 1 << 12
+# per signature (N, |A|, Z(A), budget) whose sets fail T1/T2 at an order that
+# forces the structure and have no spectrum: (record, head, tail), where
+# head + set + tail is the record line of each of its sets
+_signatures = {}
+_SIGNATURES_MAX = 1 << 12
 
 
 def record_line(rec):
-    """dumps(rec) + "\\n", byte for byte, for a record of classify_set.
-
-    A record with no witness (neither verdict "found") comes from
-    classify_set's no-multiset path: all of it but the set and the tile
-    search's verdict and node count is fixed by the signature (N, |A|, Z(A))
-    and the budget, so its line fills those into a cached template.
-    """
-    tile = rec["tile"]
-    if tile["verdict"] == "found" or rec["spectral"]["verdict"] == "found":
+    """dumps(rec) + "\\n", byte for byte, for a record of classify_set.  A
+    record of a cached signature has no witness and is fixed by the signature
+    apart from its set, so its line fills the set into the cached template."""
+    # a record that passes T1/T2 has no tile budget, and no cached signature
+    entry = _signatures.get((rec["n"], rec["size"], frozenset(rec["vanishing_divisors"]),
+                             rec["tile"].get("budget")))
+    if entry is None:
         return dumps(rec) + "\n"
-    key = (rec["n"], rec["size"], tuple(rec["vanishing_divisors"]), tile["budget"],
-           tile["verdict"])
-    parts = _line_templates.get(key)
-    if parts is None:
-        if len(_line_templates) >= _LINE_TEMPLATES_MAX:
-            _line_templates.clear()
-        holes = dumps({**rec, "set": "\0", "tile": {**tile, "nodes": "\0"}}) + "\n"
-        parts = _line_templates[key] = holes.split('"\\u0000"')
-    head, mid, tail = parts
-    return f"{head}{str(rec['set']).replace(' ', '')}{mid}{tile['nodes']}{tail}"
+    return f"{entry[1]}{str(rec['set']).replace(' ', '')}{entry[2]}"
+
+
+def _fresh(rec, rep):
+    """A copy of the no-witness record rec with the set rep; it shares no mutable object with rec."""
+    new = rec.copy()
+    new["set"], new["vanishing_divisors"] = list(rep), rec["vanishing_divisors"].copy()
+    new["cm"] = cm_json = rec["cm"].copy()
+    cm_json["s_a"] = cm_json["s_a"].copy()
+    new["spectral"], new["tile"] = rec["spectral"].copy(), rec["tile"].copy()
+    return new
 
 
 @dataclass
@@ -593,43 +594,51 @@ class SurveyResult:
 def _shape_forces_structure(ctx):
     # orders with at most two distinct primes, or with at most one repeated
     # prime, provably admit no tile that fails the structure conditions
-    if len(ctx.factorization) <= 2:
-        return True
-    return sum(1 for _, e in ctx.factorization if e > 1) <= 1
+    return len(ctx.factorization) <= 2 or sum(e > 1 for _, e in ctx.factorization) <= 1
 
 
 def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
     """Full classification of one canonical set; returns a JSON-able record.
 
-    Z(A), T1/T2 and both searches run once, on the tuple rep.  Only when
-    T1/T2 hold or a search finds a witness is a MaskMultiset built, seeded
-    with that Z(A), for the constructions, the witnesses and their checks,
-    and the diagnostics.
+    Z(A) and T1/T2 run once, on the tuple rep.  T1 and T2 make a set a tile
+    (Coven-Meyerowitz), and at an order that forces the structure every tile
+    satisfies them, so there a set that fails them gets the tile verdict
+    "none" with nodes 0, and a cover found by the cross-check search raises
+    InvariantViolation.  With no spectrum either, its record is cached per
+    signature (N, |A|, Z(A)) and budget: the cross-check runs on the first set
+    of a signature, and each later set gets a fresh copy.  Elsewhere the cover
+    search runs per set.  Only a set with T1/T2 or a witness gets a
+    MaskMultiset, seeded with that Z(A).
     """
     ctx = group(n)
     za = zn.proper_zero_set(ctx, rep)
     vd = za.vanishing_divisors
     k = len(rep)
+    entry = _signatures.get(key := (n, k, vd, node_budget))
+    if entry is not None:
+        return _fresh(entry[0], rep)
     cm_report = cm._structure_report(n, k, vd)
-    record = {
-        "type": "record",
-        "n": n,
-        "set": list(rep),
-        "size": k,
-        "vanishing_divisors": sorted(vd),
-        "cm": cm_report.to_json(),
-        "dual_spectrum": None,
-        "f_member": False,
-        "diagnostics": None,
-    }
+    record = {"type": "record", "n": n, "set": list(rep), "size": k,
+              "vanishing_divisors": sorted(vd), "cm": cm_report.to_json(),
+              "dual_spectrum": None, "f_member": False, "diagnostics": None}
     if not cm_report.ok:
         # k > 1 here, since {0} satisfies T1/T2
         spectral, chosen, spectral_nodes = _clique_search(n, k, vd, node_budget)
         tile, sols, tile_nodes = _covers(n, rep, node_budget, want_all=False)
-        if "found" not in (spectral, tile):
+        if forced := _shape_forces_structure(ctx):
+            if tile == "found":
+                raise InvariantViolation(f"tile {rep} of Z_{n} fails the structure conditions; impossible")
+            tile, tile_nodes = "none", 0
+        if spectral != "found" and tile != "found":
             record["spectral"] = _outcome_json(spectral, spectral_nodes, node_budget)
             record["tile"] = _outcome_json(tile, tile_nodes, node_budget)
-            return record
+            if not forced:
+                return record
+            if len(_signatures) >= _SIGNATURES_MAX:
+                _signatures.clear()
+            head, tail = (dumps({**record, "set": "\0"}) + "\n").split('"\\u0000"')
+            _signatures[key] = {**record, "set": None}, head, tail
+            return _fresh(record, rep)
     a = MaskMultiset.from_elements(ctx, rep)
     object.__setattr__(a, "_zero_set", za)  # zero_set(a) returns it from here on
     if cm_report.ok:
@@ -644,17 +653,14 @@ def classify_set(rep, n, node_budget=DEFAULT_NODE_BUDGET):
                         pairs.verify_spectral_pair)
     tile = _outcome(a, tile, sols[0] if sols else (), tile_nodes, node_budget,
                     pairs.verify_tiling_pair)
-    if tile.verdict == "found" and _shape_forces_structure(ctx):
-        raise InvariantViolation(
-            f"tile {rep} of Z_{n} fails the structure conditions; impossible"
-        )
     record["spectral"] = spectral.to_json()
     record["tile"] = tile.to_json()
     if tile.verdict == "found":
         record["dual_spectrum"] = _dual_certified_spectrum(a, tile.witness)
     if spectral.verdict == "found" and tile.verdict == "none":
         record["f_member"] = True
-        record["diagnostics"] = _f_diagnostics(a, spectral.witness)
+        # _outcome has just proved the spectrum, so the pair needs no second check
+        record["diagnostics"] = pairs.diagnostics_panel(pairs.SpectralPair(a, spectral.witness))
     return record
 
 
@@ -671,13 +677,6 @@ def _dual_certified_spectrum(a, t):
             ) from None
         b = cm.build_laba_spectrum(a)
         return {"route": "structure_conditions", "spectrum": sorted(b.support())}
-
-
-def _f_diagnostics(a, b):
-    check = pairs.verify_spectral_pair(a, b)
-    if not check.ok:
-        raise InvariantViolation("recorded spectrum failed re-verification")
-    return pairs.diagnostics_panel(check.pair)
 
 
 def _sample_reps(n, k, limit, seed, affine):

@@ -1,5 +1,6 @@
 """Canonical enumeration, witness searches, and the survey machinery."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -400,17 +401,34 @@ def test_survey_nonprimitive_spectral_sets_are_structured():
         assert res.summary["nonprimitive_spectral_all_structured"]
 
 
-def test_f_member_diagnostics_payload():
-    # the counterexample dump never fires in real surveys; drive it directly
-    from spectile.search import _f_diagnostics
+def test_f_member_diagnostics_payload(monkeypatch):
+    # the counterexample dump never fires in real surveys: drive it by
+    # reporting failed structure conditions and no cover for spectral sets
+    real = cm._structure_report
+    monkeypatch.setattr(cm, "_structure_report",
+                        lambda *args: dataclasses.replace(real(*args), t1_holds=False))
+    monkeypatch.setattr(search, "_covers", lambda *args, **kwargs: ("none", [], 1))
+    checked = []
+    real_verify = pairs.verify_spectral_pair
 
-    a = mm(12, [0, 1, 6, 7])
-    out = _f_diagnostics(a, a)
+    def counting(a, b):
+        checked.append(b.support())
+        return real_verify(a, b)
+
+    monkeypatch.setattr(pairs, "verify_spectral_pair", counting)
+    search._signatures.clear()
+    rec = search.classify_set((0, 1, 6, 7), 12)
+    assert rec["f_member"] and rec["tile"] == {"verdict": "none", "witness": None, "nodes": 0,
+                                               "budget": search.DEFAULT_NODE_BUDGET}
+    out = rec["diagnostics"]
     assert set(out) >= {"primitive_a", "primitive_b", "profile", "symmetry",
                         "deficits", "roots_panel"}
     assert out["profile"]["a"]["s_p"] == [1, 2]
-    prime_power = _f_diagnostics(mm(8, [0, 1]), mm(8, [0, 4]))
-    assert "profile" not in prime_power  # no two-prime diagnostics there
+    # the panel comes from the check that proved the spectrum, not from a second one
+    assert checked == [tuple(rec["spectral"]["witness"])]
+    prime_power = search.classify_set((0, 1), 8)["diagnostics"]
+    assert prime_power is not None and "profile" not in prime_power  # no two-prime diagnostics
+    assert len(checked) == 2
 
 
 @pytest.mark.parametrize("n", [6, 8, 9])
@@ -614,7 +632,7 @@ def test_survey_fingerprint_names_schema_and_version(tmp_path, monkeypatch):
     import spectile
 
     fp = json.loads(SurveyOptions().fingerprint())
-    assert fp["schema"] == "spectile.survey/1"
+    assert fp["schema"] == "spectile.survey/2"
     assert fp["version"] == spectile.__version__
     # the version string stays put across code changes; the sources' digest does not
     assert re.fullmatch(r"[0-9a-f]{64}", fp["code"])
@@ -878,6 +896,54 @@ def test_signature_memos_match_cold_searches(n):
     assert cm._structure_report.cache_info().maxsize is not None
 
 
+def _realised_zero_sets(n, m):
+    """R(m): the sets Z(B) of the m-subsets B of Z_n, by enumeration (Z(B) is
+    translation invariant, so the subsets containing 0 realise them all)."""
+    return {zn.zero_set(mm(n, (0,) + rest)).vanishing_divisors
+            for rest in combinations(range(1, n), m - 1)}
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_tile_verdict_is_the_signatures_under_both_criteria(n):
+    # every order here forces the structure, so a set tiles iff it satisfies
+    # T1 and T2, and (Fourier) iff |A| divides N and some realised Z(B) with
+    # |B| = N/|A| covers with Z(A) every divisor d > 1 of N
+    divisors = frozenset(d for d in range(2, n + 1) if n % d == 0)
+    realised = {m: _realised_zero_sets(n, m) for m in divisors | {1}}
+    search._signatures.clear()
+    for rep in canonical_sets(n):
+        k = len(rep)
+        vd = zn.zero_set(mm(n, rep)).vanishing_divisors
+        cover = search._covers(n, rep, search.DEFAULT_NODE_BUDGET, False)[0]
+        assert cover != "unknown"
+        tiles = cover == "found"
+        assert cm._structure_report(n, k, vd).ok == tiles, rep
+        fourier = n % k == 0 and any(vd | zb >= divisors for zb in realised[n // k])
+        assert fourier == tiles, rep
+        assert (search.classify_set(rep, n)["tile"]["verdict"] == "found") == tiles
+
+
+def test_the_cover_search_runs_once_per_signature(monkeypatch):
+    calls = []
+    real = search._covers
+
+    def counting(n, elems, *args, **kwargs):
+        calls.append((n, len(elems), zn.proper_zero_set(group(n), elems).vanishing_divisors))
+        return real(n, elems, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_covers", counting)
+    search._signatures.clear()
+    fuglede_survey(group(16), SurveyOptions(threads=1, collect_records=False))
+    assert calls and len(calls) == len(set(calls)) == len(search._signatures)
+
+
+def test_a_cover_of_a_set_that_fails_t1t2_raises(monkeypatch):
+    monkeypatch.setattr(search, "_covers", lambda n, elems, budget, want_all: ("found", [(0,)], 1))
+    search._signatures.clear()
+    with pytest.raises(InvariantViolation, match="fails the structure conditions"):
+        search.classify_set((0, 1, 3), 12)
+
+
 def test_memoised_spectrum_is_reverified_for_each_set(monkeypatch):
     verified = []
     real = pairs.verify_spectral_pair
@@ -946,10 +1012,30 @@ def test_survey_progress_reports_orbits_rate_and_eta(capsys, limit):
     assert last.group(7) == "0 s"
 
 
+def _as_survey_1(obj):
+    """A record or summary as spectile.survey/1 wrote it: a record with no
+    witness took its tile nodes from its own cover search, and the summary
+    named that schema."""
+    if obj["type"] == "summary":
+        return {**obj, "schema": "spectile.survey/1"}
+    tile = obj["tile"]
+    if "found" in (obj["spectral"]["verdict"], tile["verdict"]):
+        return obj
+    verdict, _, nodes = search._covers(obj["n"], tuple(obj["set"]), tile["budget"], False)
+    assert (verdict, tile["nodes"]) == (tile["verdict"], 0)
+    return {**obj, "tile": {**tile, "nodes": nodes}}
+
+
 # sha256 of every record and the summary without elapsed_s, one canonical JSON
-# line each, for N = 1..14; computed before the signature memos and the packed
-# vanishing kernel existed
+# line each, for N = 1..14
 SURVEY_DIGESTS = {
+    False: "7e5e95e19a2124736b5b18f09db4f01eee9478ee6f0be0224afd03b41b58f0e9",
+    True: "623fd9505a552d8ff89f66b97f4383929ba08dcd2a81d99a0588aaf2dd06232a",
+}
+# the same stream rebuilt as spectile.survey/1 (_as_survey_1); computed under
+# that schema, before the signature memos and the packed vanishing kernel
+# existed
+SURVEY_1_DIGESTS = {
     False: "975d741211990d203ee60d1f2898f95a07e9c2e52b6d71c31b678904fed3b64d",
     True: "0b437a2008e77bc4ad6ec10809109b39d699e5dcf95d1f865eb30fbcccc26bd4",
 }
@@ -957,33 +1043,39 @@ SURVEY_DIGESTS = {
 
 @pytest.mark.parametrize("affine", [False, True])
 def test_survey_outputs_match_golden_digest(affine):
-    h = hashlib.sha256()
+    h, h1 = hashlib.sha256(), hashlib.sha256()
     for n in range(1, 15):
         result = fuglede_survey(group(n), SurveyOptions(affine=affine))
         for obj in result.records + [_without_elapsed(result.summary)]:
             h.update(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+            h1.update(search.dumps(_as_survey_1(obj)).encode() + b"\n")
     assert h.hexdigest() == SURVEY_DIGESTS[affine]
+    assert h1.hexdigest() == SURVEY_1_DIGESTS[affine]
 
 
 # sha256 of the record lines (search.dumps) as a one-worker survey streams
 # them to its sink, then its summary without elapsed_s, for translation and
-# then affine surveys of N = 1..14; computed before classify_set read Z(A)
-# from the lane table
-STREAMED_DIGEST = "3cffb4bb6593c12a5c3495b8326dffb7c3483bc6f9dccdf9301ca4fac00db5bb"
+# then affine surveys of N = 1..14
+STREAMED_DIGEST = "f0a1ed569cafba5294d404d20fe062d33cb07aea205923e01a634fc2eead41b0"
+# the same stream rebuilt as spectile.survey/1; computed under that schema,
+# before classify_set read Z(A) from the lane table
+STREAMED_1_DIGEST = "3cffb4bb6593c12a5c3495b8326dffb7c3483bc6f9dccdf9301ca4fac00db5bb"
 
 
 def test_streamed_survey_records_match_golden_digest():
-    h = hashlib.sha256()
+    h, h1 = hashlib.sha256(), hashlib.sha256()
 
-    def sink(rec):
-        h.update(search.dumps(rec).encode() + b"\n")
+    def take(obj):
+        h.update(search.dumps(obj).encode() + b"\n")
+        h1.update(search.dumps(_as_survey_1(obj)).encode() + b"\n")
 
     for affine in (False, True):
         for n in range(1, 15):
             opts = SurveyOptions(threads=1, affine=affine, collect_records=False)
-            summary = fuglede_survey(group(n), opts, record_sink=sink).summary
-            h.update(search.dumps(_without_elapsed(summary)).encode() + b"\n")
+            summary = fuglede_survey(group(n), opts, record_sink=take).summary
+            take(_without_elapsed(summary))
     assert h.hexdigest() == STREAMED_DIGEST
+    assert h1.hexdigest() == STREAMED_1_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -1089,24 +1181,67 @@ def _small_survey_records():
 
 
 def test_record_line_is_the_canonical_line_of_every_small_survey_record():
-    search._line_templates.clear()
+    search._signatures.clear()
     templated = set()
     for rec in _small_survey_records():
         line = search.record_line(rec)
         assert line == search.dumps(rec) + "\n"
         assert json.loads(line) == rec
         if "found" not in (rec["spectral"]["verdict"], rec["tile"]["verdict"]):
-            templated.add(rec["tile"]["verdict"])
-    assert templated == {"none", "unknown"} and search._line_templates
+            # every order here forces the structure: the tile verdict is T1/T2's
+            assert (rec["tile"]["verdict"], rec["tile"]["nodes"]) == ("none", 0)
+            key = (rec["n"], rec["size"], frozenset(rec["vanishing_divisors"]), rec["tile"]["budget"])
+            assert key in search._signatures
+            templated.add(rec["spectral"]["verdict"])
+    assert templated == {"none", "unknown"}
 
 
-def test_line_templates_are_bounded(monkeypatch):
-    monkeypatch.setattr(search, "_LINE_TEMPLATES_MAX", 3)
-    search._line_templates.clear()
-    records = fuglede_survey(group(16), SurveyOptions(threads=1)).records
-    for rec in records:
+def test_signature_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(search, "_SIGNATURES_MAX", 3)
+    search._signatures.clear()
+    sizes = []
+
+    def check(rec):
         assert search.record_line(rec) == search.dumps(rec) + "\n"
-        assert len(search._line_templates) <= 3
+        sizes.append(len(search._signatures))
+
+    fuglede_survey(group(16), SurveyOptions(threads=1, collect_records=False), record_sink=check)
+    assert max(sizes) == 3 and min(sizes[sizes.index(3):]) < 3  # filled, then cleared
+
+
+def test_records_of_one_signature_share_no_object():
+    n = 12
+    by_signature = {}
+    for rep in canonical_sets(n):
+        rec = search.classify_set(rep, n)
+        if "found" not in (rec["spectral"]["verdict"], rec["tile"]["verdict"]):
+            by_signature.setdefault((rec["size"], tuple(rec["vanishing_divisors"])), []).append(rep)
+    reps = max(by_signature.values(), key=len)
+    assert len(reps) >= 3
+    want = [search.dumps(search.classify_set(rep, n)) for rep in reps]
+    search._signatures.clear()
+    for rep, line in zip(reps, want):
+        # the first record fills the cache and the later ones copy it; each
+        # is then mutated all through, and the next must not see it
+        rec = search.classify_set(rep, n)
+        assert search.dumps(rec) == line and search.record_line(rec) == line + "\n"
+        for part in (rec["set"], rec["vanishing_divisors"], rec["cm"]["s_a"]):
+            part.append(-1)
+        for part in (rec["cm"], rec["spectral"], rec["tile"]):
+            part.update(mutated=True, nodes=-1, verdict="found")
+        rec.update(n=-1, size=-1, f_member=True)
+
+
+def test_non_forced_orders_keep_the_per_set_cover_search():
+    # 180 = 2^2 3^2 5 is the least order that does not force the structure
+    n = 180
+    assert not search._shape_forces_structure(group(n))
+    rec = search.classify_set((0, 1, 3), n)
+    assert not rec["cm"]["t1"]
+    verdict, _, nodes = search._covers(n, (0, 1, 3), search.DEFAULT_NODE_BUDGET, False)
+    assert rec["tile"] == {"verdict": verdict, "witness": None, "nodes": nodes,
+                           "budget": search.DEFAULT_NODE_BUDGET}
+    assert search.record_line(rec) == search.dumps(rec) + "\n"
 
 
 def _counting_lines(monkeypatch):
